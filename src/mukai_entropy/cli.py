@@ -52,6 +52,8 @@ from .spectral import (
 
 DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_ENV = "MUKAI_ENTROPY_TOL"
+# entropy-curve grids longer than this are refused instead of tabulated
+MAX_CURVE_ROWS = 100_000
 
 
 def _fmt_float(x: float) -> str:
@@ -227,16 +229,21 @@ def _cmd_entropy_curve(args) -> str:
     step = _parse_fraction(args.step)
     if step <= 0 or t_max < t_min:
         raise LatticeInputError("need t-min <= t-max and step > 0")
+    n_rows = (t_max - t_min) // step + 1
+    if n_rows > MAX_CURVE_ROWS:
+        raise LatticeInputError(
+            f"grid has {n_rows} rows, more than {MAX_CURVE_ROWS}; "
+            f"raise --step"
+        )
     rows = []
-    t = t_min
-    while t <= t_max:
+    for k in range(n_rows):
+        t = t_min + k * step
         piece = curve.piece_at(t)
         rows.append([
             _fmt_rational(t),
             _fmt_rational(piece.value_at(t)),
             "proven" if piece.proven else "unproven",
         ])
-        t += step
     return _csv(["t", "h_t", "proven"], rows)
 
 

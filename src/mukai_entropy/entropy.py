@@ -253,7 +253,15 @@ def gy_gap(d: int) -> GapReport:
 
 def entropy_lower_bound_from_radius(action: Isometry,
                                     tolerance: float = 1e-9) -> float:
-    """log of the certified spectral radius; a lower bound for the entropy
-    of any categorical lift of the isometry."""
-    radius = spectral_radius(action.matrix, tolerance)
-    return math.log(radius.value)
+    """A float at most log of the spectral radius; a lower bound for the
+    entropy of any categorical lift of the isometry.
+
+    Taken from the certified lower end of the radius bracket: a float at
+    most lo, then its log stepped one ulp down to absorb the rounding of
+    math.log.
+    """
+    lo = spectral_radius(action.matrix, tolerance).lo
+    x = float(lo)
+    if Fraction(x) > lo:
+        x = math.nextafter(x, -math.inf)
+    return math.nextafter(math.log(x), -math.inf)

@@ -17,6 +17,7 @@ from .errors import InvarianceError, LatticeInputError
 from .lattice import (
     K3LatticeModel,
     MukaiVector,
+    _as_int,
     is_spherical_class,
     mukai_pairing,
     ns_product,
@@ -105,7 +106,7 @@ def tensor_line_bundle_action(model: K3LatticeModel, divisor) -> Isometry:
 
     Sends (r, c, m) to (r, c + r D, m + c.D + r D^2/2); unipotent of index 3.
     """
-    d_vec = tuple(int(x) for x in divisor)
+    d_vec = tuple(_as_int(x, "divisor entry") for x in divisor)
     rho = model.picard_rank
     if len(d_vec) != rho:
         raise LatticeInputError("divisor length must equal picard_rank")
@@ -151,6 +152,7 @@ def inverse(a: Isometry) -> Isometry:
 
 
 def power(a: Isometry, n: int) -> Isometry:
+    n = _as_int(n, "power exponent")
     base = a if n >= 0 else inverse(a)
     result = _linalg.identity(a.model.rank)
     for _ in range(abs(n)):

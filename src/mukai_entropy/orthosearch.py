@@ -11,8 +11,8 @@ but finitely many N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 
 from . import _linalg
 from .errors import LatticeInputError, SearchExhaustedError
@@ -75,21 +75,37 @@ def rank2_isotropy_free(model: K3LatticeModel, s: MukaiVector,
 
 
 def _coefficient_shells(rank: int, bound: int):
-    """Coefficient tuples with sup norm r for r = 1..bound, shortest first."""
+    """Coefficient tuples with sup norm r for r = 1..bound, shortest first.
+
+    Within a shell the order is by L1 norm, then lexicographic. Each L1 level
+    is walked depth first with values ascending, so tuples come out lazily in
+    that order; a branch is entered only when its remaining L1 budget can
+    still be spent with entries in [-r, r] and reach |entry| = r somewhere,
+    so every branch yields.
+    """
+    coeffs = [0] * rank
+
+    def walk(i, r, rest, hit):
+        if i == rank:
+            yield tuple(coeffs)
+            return
+        room = r * (rank - i - 1)
+        for x in range(-r, r + 1):
+            left = rest - abs(x)
+            now_hit = hit or abs(x) == r
+            if 0 <= left <= room and (now_hit or left >= r):
+                coeffs[i] = x
+                yield from walk(i + 1, r, left, now_hit)
+
     for r in range(1, bound + 1):
-        shell = [
-            t for t in product(range(-r, r + 1), repeat=rank)
-            if max(abs(x) for x in t) == r
-        ]
-        shell.sort(key=lambda t: (sum(abs(x) for x in t), t))
-        yield from shell
+        for l1 in range(r, r * rank + 1):
+            yield from walk(0, r, l1, False)
 
 
-def _combine(basis, coeffs) -> MukaiVector:
-    out = scale_vector(coeffs[0], basis[0])
-    for c, b in zip(coeffs[1:], basis[1:]):
-        out = add_vectors(out, scale_vector(c, b))
-    return out
+def _primitive_class(basis, coeffs) -> MukaiVector:
+    coords = tuple(sum(c * x for c, x in zip(coeffs, column))
+                   for column in zip(*(b.coords for b in basis)))
+    return sign_normalized(primitive_vector(MukaiVector.from_coords(coords)))
 
 
 def find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
@@ -109,22 +125,31 @@ def find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
             or search_bound < 1:
         raise LatticeInputError("search_bound must be a positive integer")
     basis = orthogonal_complement_basis(model, [s])
+    gram = pairing_matrix(model, basis)
     first_positive = None
     for coeffs in _coefficient_shells(len(basis), search_bound):
-        v = sign_normalized(primitive_vector(_combine(basis, coeffs)))
-        q = square(model, v)
+        support = [(i, c) for i, c in enumerate(coeffs) if c]
+        q = sum(c * d * gram[i][j] for i, c in support for j, d in support)
         if q <= 0:
             continue
+        # the basis is saturated (columns of a unimodular matrix), so the
+        # content of the class is the gcd of its coefficients
+        g = math.gcd(*coeffs)
+        q //= g * g
         if not is_perfect_square(2 * q):
+            v = _primitive_class(basis, coeffs)
+            if square(model, v) != q or mukai_pairing(model, v, s) != 0:
+                raise RuntimeError(f"search hit {v} fails its own check")
             return v
         if first_positive is None:
-            first_positive = v
+            first_positive = coeffs
     if first_positive is None:
         raise SearchExhaustedError(
             f"no positive orthogonal class within coefficient bound "
             f"{search_bound}; raise the bound"
         )
-    return _perturb_square_case(model, s, first_positive)
+    return _perturb_square_case(model, s,
+                                _primitive_class(basis, first_positive))
 
 
 def _perturb_square_case(model: K3LatticeModel, s: MukaiVector,

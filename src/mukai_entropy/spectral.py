@@ -279,8 +279,8 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     at least lo. Deterministic for fixed input and tolerance.
     """
     rows = _check_square_int(matrix)
-    if not tolerance > 0:
-        raise LatticeInputError("tolerance must be positive")
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise LatticeInputError("tolerance must be positive and finite")
     cp = char_poly(rows)
     coeffs = list(cp.coeffs)
     while coeffs[0] == 0:

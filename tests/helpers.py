@@ -13,7 +13,18 @@ from fractions import Fraction
 from itertools import product
 
 from mukai_entropy import _linalg
-from mukai_entropy.lattice import K3LatticeModel, MukaiVector
+from mukai_entropy.errors import SearchExhaustedError
+from mukai_entropy.lattice import (
+    K3LatticeModel,
+    MukaiVector,
+    add_vectors,
+    is_perfect_square,
+    orthogonal_complement_basis,
+    primitive_vector,
+    scale_vector,
+    sign_normalized,
+    square,
+)
 
 
 def oracle_pairing(model: K3LatticeModel, v: MukaiVector, w: MukaiVector) -> int:
@@ -138,6 +149,44 @@ def cofactor_char_poly(matrix) -> list[int]:
     return [int(c) for c in coeffs]
 
 
+def oracle_coefficient_shells(rank: int, bound: int):
+    """Coefficient tuples of sup norm r = 1..bound, each shell built whole
+    and sorted by (L1 norm, tuple)."""
+    for r in range(1, bound + 1):
+        shell = [
+            t for t in product(range(-r, r + 1), repeat=rank)
+            if max(abs(x) for x in t) == r
+        ]
+        shell.sort(key=lambda t: (sum(abs(x) for x in t), t))
+        yield from shell
+
+
+def oracle_find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
+                                    bound: int) -> MukaiVector:
+    """The orthogonal-class search over sorted whole shells, building and
+    squaring a MukaiVector for every candidate. The N v + u repair is the
+    package's own; only the candidate order and test are recomputed."""
+    from mukai_entropy.orthosearch import _perturb_square_case
+
+    basis = orthogonal_complement_basis(model, [s])
+    first_positive = None
+    for coeffs in oracle_coefficient_shells(len(basis), bound):
+        v = scale_vector(coeffs[0], basis[0])
+        for c, b in zip(coeffs[1:], basis[1:]):
+            v = add_vectors(v, scale_vector(c, b))
+        v = sign_normalized(primitive_vector(v))
+        q = square(model, v)
+        if q <= 0:
+            continue
+        if not is_perfect_square(2 * q):
+            return v
+        if first_positive is None:
+            first_positive = v
+    if first_positive is None:
+        raise SearchExhaustedError("no positive class in the box")
+    return _perturb_square_case(model, s, first_positive)
+
+
 def random_k3_model(rng: random.Random, rho: int,
                     entry_bound: int = 20) -> K3LatticeModel:
     """Random even symmetric Gram of signature (1, rho-1) by rejection."""
@@ -155,8 +204,6 @@ def random_k3_model(rng: random.Random, rho: int,
 
 def spherical_classes_in_box(model: K3LatticeModel, bound: int):
     """All classes of square -2 with coordinates in [-bound, bound]."""
-    from mukai_entropy.lattice import square
-
     rho = model.picard_rank
     found = []
     for coords in product(range(-bound, bound + 1), repeat=rho + 2):

@@ -115,6 +115,17 @@ def test_spectral_radius_command_and_env(monkeypatch):
     assert code == 2
 
 
+def test_non_finite_tolerance_exits_two(monkeypatch):
+    for tol in ("inf", "nan"):
+        code, _, err = run_cli(
+            "spectral-radius", "--matrix", "[[2,1],[1,1]]", "--tol", tol
+        )
+        assert code == 2 and "error" in err
+    monkeypatch.setenv("MUKAI_ENTROPY_TOL", "inf")
+    code, _, err = run_cli("spectral-radius", "--matrix", "[[2,1],[1,1]]")
+    assert code == 2 and "error" in err
+
+
 def test_gy_gap_reference_row():
     code, out, _ = run_cli("gy-gap", "--d-min", "5", "--d-max", "5")
     assert code == 0
@@ -168,6 +179,14 @@ def test_entropy_curve_grid_validation():
         "--t-min", "0", "--t-max", "1", "--step", "bad",
     )
     assert code == 2
+
+
+def test_entropy_curve_row_cap():
+    code, _, err = run_cli(
+        "entropy-curve", "--spherical-dim", "2", "--complement", "yes",
+        "--t-min", "0", "--t-max", "1", "--step", "1/100000000",
+    )
+    assert code == 2 and "rows" in err
 
 
 def test_phi_h_rejects_nonpositive_degree():

@@ -17,6 +17,7 @@ from mukai_entropy.entropy import (
     twist_entropy_curve,
 )
 from mukai_entropy.errors import LatticeInputError
+from mukai_entropy.spectral import radius_closed_form
 from mukai_entropy.isometries import identity_action, shift_action, twist_tensor_action
 from mukai_entropy.lattice import (
     MukaiVector,
@@ -208,3 +209,16 @@ def test_entropy_lower_bound_from_radius():
     assert abs(entropy_lower_bound_from_radius(shift_action(model, 1))) <= 1e-9
     bound = entropy_lower_bound_from_radius(twist_tensor_action(model))
     assert abs(bound - math.log((3 + math.sqrt(5)) / 2)) <= 1e-9
+
+
+def test_entropy_lower_bound_never_exceeds_log_radius():
+    # the bound comes from the lower end of the certified bracket, so it may
+    # not pass the exact log radius even where the bracket midpoint does
+    tol = 1e-9
+    for d in range(5, 61):
+        exact = math.log(float(radius_closed_form(d)))
+        bound = entropy_lower_bound_from_radius(
+            twist_tensor_action(rank_one_model(d)), tol
+        )
+        assert bound <= exact
+        assert exact - bound <= 2 * tol

@@ -164,6 +164,17 @@ def test_compose_power_inverse():
         compose(tw, spherical_twist_action(rank_one_model(3), V(1, (0,), 1)))
 
 
+def test_non_integer_divisor_and_exponent_are_rejected():
+    m = rank_one_model(2)
+    t = tensor_line_bundle_action(m, (-1,))
+    for divisor in ([1.7], [1.0], ["1"], [True]):
+        with pytest.raises(LatticeInputError):
+            tensor_line_bundle_action(m, divisor)
+    for n in (True, False, 2.0, "2"):
+        with pytest.raises(LatticeInputError):
+            power(t, n)
+
+
 def test_twist_tensor_columns_match_reference():
     for d in (1, 2, 7):
         m = rank_one_model(d)

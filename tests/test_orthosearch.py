@@ -1,10 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_k3_model, random_spherical
-from mukai_entropy.errors import LatticeInputError
+from helpers import (
+    oracle_coefficient_shells,
+    oracle_find_positive_orthogonal,
+    random_k3_model,
+    random_spherical,
+    spherical_classes_in_box,
+)
+from mukai_entropy.errors import LatticeInputError, SearchExhaustedError
 from mukai_entropy.lattice import (
+    K3LatticeModel,
     MukaiVector,
     add_vectors,
     doubled_square_is_nonsquare,
@@ -15,10 +23,12 @@ from mukai_entropy.lattice import (
     scale_vector,
     signature_of,
     square,
+    structure_sheaf_vector,
     vector_content,
 )
 from mukai_entropy.orthosearch import (
     Rank2Form,
+    _coefficient_shells,
     find_positive_orthogonal,
     rank2_form,
     rank2_isotropy_free,
@@ -65,6 +75,48 @@ def test_search_output_is_primitive_and_verified():
         assert mukai_pairing(model, v, s) == 0
         assert square(model, v) > 0
         assert doubled_square_is_nonsquare(model, v)
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_lazy_shells_match_sorted_oracle(rank):
+    for bound in range(1, 4 if rank <= 5 else 3):
+        assert list(_coefficient_shells(rank, bound)) == \
+            list(oracle_coefficient_shells(rank, bound))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), rho=st.integers(1, 4),
+       bound=st.integers(1, 2), pick=st.integers(0, 10 ** 6))
+def test_search_matches_whole_box_oracle(seed, rho, bound, pick):
+    model = random_k3_model(random.Random(seed), rho)
+    classes = spherical_classes_in_box(model, 1)
+    s = classes[pick % len(classes)]
+    try:
+        expected = oracle_find_positive_orthogonal(model, s, bound)
+    except SearchExhaustedError:
+        with pytest.raises(SearchExhaustedError):
+            find_positive_orthogonal(model, s, bound)
+        return
+    assert find_positive_orthogonal(model, s, bound) == expected
+
+
+def test_search_at_picard_rank_twenty():
+    # the first shell at rho = 20 has 3^21 - 1 tuples; the search must stop
+    # at its first hit instead of building the shell
+    rho = 20
+    gram = [[0] * rho for _ in range(rho)]
+    gram[0][0] = 2
+    for i in range(1, rho):
+        gram[i][i] = -2
+    for i in range(1, rho - 1):
+        gram[i][i + 1] = gram[i + 1][i] = 1
+    model = K3LatticeModel(rho, tuple(tuple(row) for row in gram))
+    s = structure_sheaf_vector(model)
+    v = find_positive_orthogonal(model, s, 2)
+    assert vector_content(v) == 1
+    assert mukai_pairing(model, v, s) == 0
+    assert square(model, v) > 0
+    assert doubled_square_is_nonsquare(model, v)
 
 
 def test_perturbation_preserves_orthogonality():
