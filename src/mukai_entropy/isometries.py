@@ -128,6 +128,7 @@ def tensor_line_bundle_action(model: K3LatticeModel, divisor) -> Isometry:
 
 def shift_action(model: K3LatticeModel, n: int) -> Isometry:
     """Shift by n acts as (-1)^n times the identity."""
+    n = _as_int(n, "shift")
     sign = 1 if n % 2 == 0 else -1
     mat = tuple(
         tuple(sign if i == j else 0 for j in range(model.rank))

@@ -4,10 +4,14 @@ The radius certificate never trusts floating point. The largest root modulus
 of an integer matrix equals the square root of the largest real root of the
 polynomial whose roots are all pairwise products of eigenvalues (a conjugate
 pair contributes its squared modulus, and no pairwise product can exceed the
-squared radius). That polynomial is computed exactly through Sylvester
-resultants, and its top real root is bracketed by Sturm-chain bisection in
-rational arithmetic. Floating estimates only seed the bracket; every adopted
-bound is re-proved by an exact root count.
+squared radius). That polynomial is built in integers: the power sums s_k of
+the distinct eigenvalues come from Newton's identities, (s_k^2 + s_2k) / 2 are
+the power sums of the products mu_a * mu_b with a <= b, and Newton's
+identities run backwards give its coefficients. Its squarefree part and
+Sturm chain come from integer pseudo-remainders reduced to primitive parts,
+and its top real root is bracketed by Sturm-chain bisection at rational
+points. Floating estimates only seed the bracket; every adopted bound is
+re-proved by an exact root count.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from . import _linalg
 from .errors import CertificationError, LatticeInputError
 
-# Polynomials are ascending integer (or Fraction) coefficient lists.
+# Polynomials are ascending integer coefficient lists.
 
 
 @dataclass(frozen=True)
@@ -98,16 +102,6 @@ def char_poly(matrix) -> CharPoly:
 
 # --- polynomial helpers ------------------------------------------------------
 
-def poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def _poly_trim(p):
     while len(p) > 1 and p[-1] == 0:
         p = p[:-1]
@@ -115,61 +109,63 @@ def _poly_trim(p):
 
 
 def _poly_deriv(p):
-    if len(p) == 1:
-        return [0]
-    return [i * p[i] for i in range(1, len(p))]
-
-
-def _poly_divmod(num, den):
-    num = [Fraction(x) for x in num]
-    den = [Fraction(x) for x in den]
-    den = _poly_trim(den)
-    if den == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    rem = list(num)
-    dlead = den[-1]
-    for shift in range(len(num) - len(den), -1, -1):
-        f = rem[shift + len(den) - 1] / dlead
-        if f != 0:
-            quot[shift] = f
-            for i, d in enumerate(den):
-                rem[shift + i] -= f * d
-    return _poly_trim(quot), _poly_trim(rem)
+    return [i * p[i] for i in range(1, len(p))] or [0]
 
 
 def _poly_primitive(p) -> list[int]:
-    """Scale a rational polynomial by a positive factor to primitive integers."""
-    fracs = [Fraction(x) for x in p]
-    den_lcm = 1
-    for x in fracs:
-        den_lcm = den_lcm * x.denominator // math.gcd(den_lcm, x.denominator)
-    ints = [int(x * den_lcm) for x in fracs]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    """Divide an integer polynomial by the gcd of its coefficients."""
+    g = math.gcd(*p)
+    return [x // g for x in p] if g > 1 else list(p)
 
 
-def _poly_gcd(p, q) -> list[int]:
-    a = [Fraction(x) for x in _poly_trim(list(p))]
-    b = [Fraction(x) for x in _poly_trim(list(q))]
-    while b != [Fraction(0)]:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return _poly_primitive(a)
+def _poly_rem(a, b) -> list[int]:
+    """Primitive part of the remainder of a mod b, up to a positive factor.
+
+    Integer pseudo-division: each step scales the running remainder by
+    lc(b) / gcd(lc(b), top) before cancelling its top term. The remainder over
+    the rationals is the result divided by the product of those factors, so
+    the sign is flipped when that product is negative.
+    """
+    lead = b[-1]
+    k = len(b) - 1
+    r = _poly_trim(list(a))
+    negative = False
+    while len(r) > k and r != [0]:
+        top = r[-1]
+        g = math.gcd(lead, top)
+        f, t = lead // g, top // g
+        shift = len(r) - 1 - k
+        r = [f * x for x in r[:shift]] + [
+            f * x - t * y for x, y in zip(r[shift:-1], b)]
+        r = _poly_trim(r or [0])
+        negative ^= f < 0
+    r = _poly_primitive(r)
+    return [-x for x in r] if negative else r
+
+
+def _poly_exact_quo(a, b) -> list[int]:
+    """Quotient a / b of integer polynomials that b divides exactly."""
+    lead = b[-1]
+    k = len(b) - 1
+    r = list(a)
+    quot = [0] * (len(a) - k)
+    for shift in range(len(a) - 1 - k, -1, -1):
+        c, m = divmod(r[shift + k], lead)
+        if m:
+            raise AssertionError("polynomial division was not exact")
+        quot[shift] = c
+        if c:
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+    if any(r[:k]):
+        raise AssertionError("polynomial division was not exact")
+    return quot
 
 
 def _squarefree_part(p) -> list[int]:
-    g = _poly_gcd(p, _poly_deriv(p))
-    if len(g) == 1:
-        out = list(p)
-    else:
-        quot, rem = _poly_divmod(p, g)
-        assert rem == [Fraction(0)]
-        out = _poly_primitive(quot)
+    # the last entry of the Sturm chain is gcd(p, p') up to a factor
+    g = _sturm_chain(p)[-1]
+    out = list(p) if len(g) == 1 else _poly_primitive(_poly_exact_quo(p, g))
     if out[-1] < 0:
         out = [-c for c in out]
     return out
@@ -192,12 +188,14 @@ def _sign_at(poly, x: Fraction) -> int:
 
 
 def _sturm_chain(p) -> list[list[int]]:
+    """Sturm chain of p; each entry is the negated remainder scaled by a
+    positive factor to primitive integers."""
     chain = [list(p), _poly_primitive(_poly_deriv(p))]
     while len(chain[-1]) > 1:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        if rem == [Fraction(0)]:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if rem == [0]:
             break
-        chain.append(_poly_primitive([-x for x in rem]))
+        chain.append([-x for x in rem])
     if chain[-1] == [0]:
         chain.pop()
     return chain
@@ -208,53 +206,41 @@ def _variations(chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sylvester_resultant(f, g) -> int:
-    """Resultant of two integer polynomials (ascending, nonzero leading)."""
-    df, dg = len(f) - 1, len(g) - 1
-    size = df + dg
-    rows = []
-    fd = list(reversed(f))
-    gd = list(reversed(g))
-    for i in range(dg):
-        rows.append([0] * i + fd + [0] * (size - df - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + gd + [0] * (size - dg - 1 - i))
-    return _linalg.bareiss_det(rows)
-
-
-def _root_product_poly(p) -> list[int]:
-    """Monic polynomial whose roots are all pairwise products of roots of p.
-
-    p must be monic with nonzero constant term. Built by interpolating
-    t -> Res_y(p(y), y^n p(t/y)) at integer points.
-    """
+def _power_sums(p, count: int) -> list[int]:
+    """Power sums s_1..s_count of the roots of monic p (Newton's identities);
+    s[0] is unused."""
     n = len(p) - 1
-    deg = n * n
-    pts = list(range(deg + 1))
-    vals = []
-    for t in pts:
-        # y^n p(t/y) has ascending y-coefficients p[n-j] * t^(n-j)
-        q = [p[n - j] * t ** (n - j) for j in range(n + 1)]
-        vals.append(_sylvester_resultant(p, q))
-    # Newton divided differences, then expansion to coefficients
-    coeffs_newton = [Fraction(v) for v in vals]
-    for level in range(1, deg + 1):
-        for i in range(deg, level - 1, -1):
-            coeffs_newton[i] = (coeffs_newton[i] - coeffs_newton[i - 1]) / (
-                pts[i] - pts[i - level]
-            )
-    poly = [Fraction(0)] * (deg + 1)
-    acc = [Fraction(1)]
-    for i in range(deg + 1):
-        for j, a in enumerate(acc):
-            poly[j] += coeffs_newton[i] * a
-        if i < deg:
-            acc = [Fraction(0)] + acc
-            for j in range(len(acc) - 1):
-                acc[j] -= pts[i] * acc[j + 1]
-    assert all(x.denominator == 1 for x in poly)
-    out = [int(x) for x in poly]
-    assert out[-1] == 1, "pairwise-product polynomial should be monic"
+    s = [0] * (count + 1)
+    for k in range(1, count + 1):
+        acc = k * p[n - k] if k <= n else 0
+        acc += sum(p[n - i] * s[k - i] for i in range(1, min(k - 1, n) + 1))
+        s[k] = -acc
+    return s
+
+
+def _pairwise_product_poly(q) -> list[int]:
+    """Monic polynomial whose roots are the products mu_a * mu_b, a <= b, of
+    the roots of q, counted with multiplicity.
+
+    q must be monic with nonzero constant term. With s_k the power sums of q,
+    (s_k^2 + s_2k) / 2 are the power sums of the products; Newton's
+    identities run backwards turn them into coefficients, dividing exactly
+    by k at step k.
+    """
+    if q[-1] != 1 or q[0] == 0:
+        raise ValueError("polynomial must be monic with nonzero constant term")
+    n = len(q) - 1
+    deg = n * (n + 1) // 2
+    s = _power_sums(q, 2 * deg)
+    sums = [0] * (deg + 1)
+    out = [0] * deg + [1]
+    for k in range(1, deg + 1):
+        twice = s[k] * s[k] + s[2 * k]
+        sums[k] = twice // 2
+        acc = sums[k] + sum(out[deg - i] * sums[k - i] for i in range(1, k))
+        if twice % 2 or acc % k:
+            raise AssertionError("Newton's identities gave a non-integer")
+        out[deg - k] = -(acc // k)
     return out
 
 
@@ -287,8 +273,7 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
         coeffs.pop(0)
     if len(coeffs) == 1:
         return CertifiedRadius(0.0, Fraction(0), Fraction(0), tolerance)
-    prod_poly = _root_product_poly(coeffs)
-    s0 = _squarefree_part(prod_poly)
+    s0 = _squarefree_part(_pairwise_product_poly(_squarefree_part(coeffs)))
     chain = _sturm_chain(s0)
     bound = 2 + max(abs(c) for c in s0)
     v_top = _variations(chain, Fraction(bound))

@@ -149,6 +149,134 @@ def cofactor_char_poly(matrix) -> list[int]:
     return [int(c) for c in coeffs]
 
 
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+# --- the resultant route to the radius polynomial, kept as an oracle --------
+
+def _frac_trim(p):
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _frac_divmod(num, den):
+    num = [Fraction(x) for x in num]
+    den = _frac_trim([Fraction(x) for x in den])
+    if den == [0]:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    rem = list(num)
+    for shift in range(len(num) - len(den), -1, -1):
+        f = rem[shift + len(den) - 1] / den[-1]
+        if f != 0:
+            quot[shift] = f
+            for i, d in enumerate(den):
+                rem[shift + i] -= f * d
+    return _frac_trim(quot), _frac_trim(rem)
+
+
+def _frac_primitive(p) -> list[int]:
+    """Scale a rational polynomial by a positive factor to primitive integers."""
+    fracs = [Fraction(x) for x in p]
+    den_lcm = 1
+    for x in fracs:
+        den_lcm = den_lcm * x.denominator // math.gcd(den_lcm, x.denominator)
+    ints = [int(x * den_lcm) for x in fracs]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, x)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _frac_deriv(p):
+    return [i * p[i] for i in range(1, len(p))] or [0]
+
+
+def oracle_squarefree_part(p) -> list[int]:
+    """p / gcd(p, p') by the Euclidean algorithm over the rationals, scaled
+    to primitive integers with positive leading coefficient."""
+    a = _frac_trim([Fraction(x) for x in p])
+    b = _frac_trim([Fraction(x) for x in _frac_deriv(p)])
+    while b != [0]:
+        a, b = b, _frac_divmod(a, b)[1]
+    if len(a) == 1:
+        out = list(p)
+    else:
+        quot, rem = _frac_divmod(p, a)
+        assert rem == [0]
+        out = _frac_primitive(quot)
+    return [-c for c in out] if out[-1] < 0 else out
+
+
+def oracle_sturm_chain(p) -> list[list[int]]:
+    """Sturm chain by rational division, each negated remainder scaled by a
+    positive factor to primitive integers."""
+    chain = [list(p), _frac_primitive(_frac_deriv(p))]
+    while len(chain[-1]) > 1:
+        rem = _frac_divmod(chain[-2], chain[-1])[1]
+        if rem == [0]:
+            break
+        chain.append(_frac_primitive([-x for x in rem]))
+    if chain[-1] == [0]:
+        chain.pop()
+    return chain
+
+
+def oracle_sylvester_resultant(f, g) -> int:
+    """Resultant of two integer polynomials (ascending, nonzero leading)."""
+    df, dg = len(f) - 1, len(g) - 1
+    size = df + dg
+    fd = list(reversed(f))
+    gd = list(reversed(g))
+    rows = [[0] * i + fd + [0] * (size - df - 1 - i) for i in range(dg)]
+    rows += [[0] * i + gd + [0] * (size - dg - 1 - i) for i in range(df)]
+    return _linalg.bareiss_det(rows)
+
+
+def oracle_root_product_poly(p) -> list[int]:
+    """Monic polynomial whose n^2 roots are all ordered pairwise products of
+    the roots of p; p must be monic of degree n with nonzero constant term.
+
+    Interpolates t -> Res_y(p(y), y^n p(t/y)) at t = 0..n^2 by Newton divided
+    differences over the rationals.
+    """
+    n = len(p) - 1
+    deg = n * n
+    pts = list(range(deg + 1))
+    vals = []
+    for t in pts:
+        # y^n p(t/y) has ascending y-coefficients p[n-j] * t^(n-j)
+        q = [p[n - j] * t ** (n - j) for j in range(n + 1)]
+        vals.append(oracle_sylvester_resultant(p, q))
+    coeffs_newton = [Fraction(v) for v in vals]
+    for level in range(1, deg + 1):
+        for i in range(deg, level - 1, -1):
+            coeffs_newton[i] = (coeffs_newton[i] - coeffs_newton[i - 1]) / (
+                pts[i] - pts[i - level]
+            )
+    poly = [Fraction(0)] * (deg + 1)
+    acc = [Fraction(1)]
+    for i in range(deg + 1):
+        for j, a in enumerate(acc):
+            poly[j] += coeffs_newton[i] * a
+        if i < deg:
+            acc = [Fraction(0)] + acc
+            for j in range(len(acc) - 1):
+                acc[j] -= pts[i] * acc[j + 1]
+    assert all(x.denominator == 1 for x in poly)
+    out = [int(x) for x in poly]
+    assert out[-1] == 1, "pairwise-product polynomial should be monic"
+    return out
+
+
 def oracle_coefficient_shells(rank: int, bound: int):
     """Coefficient tuples of sup norm r = 1..bound, each shell built whole
     and sorted by (L1 norm, tuple)."""

@@ -175,6 +175,13 @@ def test_non_integer_divisor_and_exponent_are_rejected():
             power(t, n)
 
 
+def test_non_integer_shift_is_rejected():
+    m = rank_one_model(2)
+    for n in (1.5, 2.0, True, False, "1"):
+        with pytest.raises(LatticeInputError):
+            shift_action(m, n)
+
+
 def test_twist_tensor_columns_match_reference():
     for d in (1, 2, 7):
         m = rank_one_model(d)

@@ -3,11 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     cofactor_char_poly,
     fraction_det,
+    oracle_root_product_poly,
+    oracle_squarefree_part,
+    oracle_sturm_chain,
     poly_apply_matrix,
+    poly_mul,
     random_k3_model,
     random_spherical,
 )
@@ -20,7 +25,6 @@ from mukai_entropy.spectral import (
     charpoly_from_dict,
     charpoly_to_dict,
     matrix_from_obj,
-    poly_mul,
     radius_closed_form,
     radius_to_dict,
     spectral_radius,
@@ -236,12 +240,183 @@ def test_radius_one_by_one_and_zero():
 
 
 def test_root_product_polynomial_known_case():
-    # diag(2, 3): pairwise products {4, 6, 6, 9}, so the product polynomial
-    # is (t-4)(t-6)^2(t-9) = t^4 - 25t^3 + 228t^2 - 900t + 1296
-    from mukai_entropy.spectral import _root_product_poly
+    # diag(2, 3): pairwise products {4, 6, 6, 9}, so the resultant oracle's
+    # product polynomial is (t-4)(t-6)^2(t-9) = t^4 - 25t^3 + 228t^2 - 900t + 1296
+    p = list(char_poly([[2, 0], [0, 3]]).coeffs)
+    assert oracle_root_product_poly(p) == [1296, -900, 228, -25, 1]
+
+
+def test_pairwise_product_polynomial_known_case():
+    # products mu_a mu_b with a <= b of the roots 2, 3 are 4, 6, 9:
+    # s0 = (t-4)(t-6)(t-9) = t^3 - 19t^2 + 114t - 216
+    from mukai_entropy.spectral import _pairwise_product_poly, _squarefree_part
 
     p = list(char_poly([[2, 0], [0, 3]]).coeffs)
-    assert _root_product_poly(p) == [1296, -900, 228, -25, 1]
+    prod = _pairwise_product_poly(_squarefree_part(p))
+    assert prod == [-216, 114, -19, 1]
+    assert _squarefree_part(prod) == prod
+
+
+def test_pairwise_product_polynomial_refuses_bad_input():
+    from mukai_entropy.spectral import _pairwise_product_poly
+
+    for q in ([6, -5, 2], [6, -5, -1], [0, -2, 1], [3]):
+        with pytest.raises(ValueError):
+            _pairwise_product_poly(q)
+
+
+def _radius_polys(p):
+    """s0 and its Sturm chain from the package and from the resultant oracle,
+    for a zero-stripped characteristic polynomial p."""
+    from mukai_entropy.spectral import (
+        _pairwise_product_poly,
+        _squarefree_part,
+        _sturm_chain,
+    )
+
+    s0 = _squarefree_part(_pairwise_product_poly(_squarefree_part(p)))
+    oracle_s0 = oracle_squarefree_part(oracle_root_product_poly(p))
+    return (s0, _sturm_chain(s0)), (oracle_s0, oracle_sturm_chain(oracle_s0))
+
+
+def _stripped_char_poly(matrix):
+    coeffs = list(char_poly(matrix).coeffs)
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    return coeffs
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Square integer matrices of rank 1-6. Shapes beyond the plain random
+    one force repeated roots (a doubled block), zero roots (a zero row) or
+    both (triangular with a diagonal drawn from {-2, 0, 2})."""
+    shape = draw(st.sampled_from(("plain", "doubled", "zero_row", "triangular")))
+    n = draw(st.integers(1, 3 if shape == "doubled" else 6))
+    entries = st.integers(-4, 4)
+    mat = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if shape == "doubled":
+        mat = [row + [0] * n for row in mat] + [[0] * n + row for row in mat]
+    elif shape == "zero_row":
+        mat[draw(st.integers(0, n - 1))] = [0] * n
+    elif shape == "triangular":
+        for i in range(n):
+            mat[i][i] = draw(st.sampled_from((-2, 0, 2)))
+            mat[i][:i] = [0] * i
+    return mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from((0, 0, 0, -1, 1, -2, 2, 3)), min_size=1,
+             max_size=9),
+    st.sampled_from((-2, -1, 1, 3)),
+)
+def test_sturm_chain_and_squarefree_part_match_rational_euclid(low, lead):
+    # sparse coefficients give remainders that drop several degrees at once,
+    # and negative leading coefficients, which is where pseudo-division
+    # must correct the sign of the remainder
+    from mukai_entropy.spectral import _squarefree_part, _sturm_chain
+
+    p = low + [lead]
+    assert _sturm_chain(p) == oracle_sturm_chain(p)
+    assert _squarefree_part(p) == oracle_squarefree_part(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_integer_matrices())
+def test_radius_polynomials_match_resultant_oracle(mat):
+    p = _stripped_char_poly(mat)
+    if len(p) > 1:
+        new, oracle = _radius_polys(p)
+        assert new == oracle
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 10 ** 6))
+def test_twist_word_radius_polynomials_match_resultant_oracle(rho, length, seed):
+    # Mukai rank rho + 2 = 3..8
+    from mukai_entropy.isometries import compose, spherical_twist_action
+
+    rng = random.Random(seed)
+    model = random_k3_model(rng, rho, entry_bound=6)
+    action = spherical_twist_action(model, random_spherical(rng, model, 1))
+    for _ in range(length - 1):
+        action = compose(
+            action, spherical_twist_action(model, random_spherical(rng, model, 1))
+        )
+    new, oracle = _radius_polys(_stripped_char_poly(action.matrix))
+    assert new == oracle
+
+
+def _pinned_cases():
+    from mukai_entropy.isometries import (
+        compose,
+        spherical_twist_action,
+        twist_tensor_action,
+    )
+    from mukai_entropy.lattice import K3LatticeModel, MukaiVector
+
+    def word(model, classes):
+        actions = [spherical_twist_action(model, MukaiVector.from_coords(c))
+                   for c in classes]
+        acc = actions[0]
+        for a in actions[1:]:
+            acc = compose(acc, a)
+        return acc.matrix
+
+    # phi_H at d = 100 on a rank-8 Mukai lattice
+    gram8 = tuple(
+        tuple((200 if i == 0 else -2) if i == j else 0 for j in range(6))
+        for i in range(6)
+    )
+    # a rho-4 model (Mukai rank 6) and 12 spherical classes of it
+    gram6 = ((-2, 0, 0, -1), (0, 2, -3, 0), (0, -3, -4, -3), (-1, 0, -3, -6))
+    m6 = K3LatticeModel(4, gram6)
+    classes = [
+        (1, 1, 0, 0, 0, 0), (-1, 0, 1, 0, -1, 1), (1, 1, 0, 1, -1, -1),
+        (-1, -1, -1, 0, 1, 1), (-1, 1, -1, 0, -1, 1), (1, -1, 0, -1, 1, -1),
+        (-1, 1, 1, -1, 1, -1), (1, 1, 1, -1, 1, 1), (1, 0, -1, 0, -1, -1),
+        (1, 1, 1, 0, 0, 1), (1, 1, -1, 0, -1, -1), (0, 1, 0, 0, 0, -1),
+    ]
+    return {
+        "phi_H_d100_rank8": twist_tensor_action(K3LatticeModel(6, gram8)).matrix,
+        "word_12_twists_rank6": word(m6, classes),
+        # the first and last classes pair to -1: the word has order 3
+        "radius_one_word": word(m6, [classes[0], classes[-1]]),
+        "complex_pair": ((1, -2), (1, 1)),
+        "random_5x5": (
+            (1, -5, 3, -8, -7), (8, -6, 2, 9, -8), (7, -3, -8, -7, 4),
+            (4, -7, -2, -7, 8), (4, -8, 9, -6, -2),
+        ),
+    }
+
+
+PINNED_BRACKETS = {
+    "phi_H_d100_rank8": (
+        "210431482123/2147483648", "210431482125/2147483648",
+        "97.98979485593736"),
+    "word_12_twists_rank6": (
+        "6601062216582457/8589934592", "103141597134101/134217728",
+        "768464.7823430668"),
+    "radius_one_word": (
+        "4294967295/4294967296", "8589934595/8589934592",
+        "1.0000000000582077"),
+    "complex_pair": (
+        "1859775393/1073741824", "929887697/536870912",
+        "1.7320508076809347"),
+    "random_5x5": (
+        "135311975361/8589934592", "67655987683/4294967296",
+        "15.752387158980127"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BRACKETS))
+def test_radius_brackets_are_pinned(name):
+    # recorded from the resultant-based certificate; the bisection must
+    # take the same decisions, so the brackets agree byte for byte
+    rad = spectral_radius(_pinned_cases()[name])
+    assert (str(rad.lo), str(rad.hi), repr(rad.value)) == PINNED_BRACKETS[name]
 
 
 def test_radius_without_float_seed(monkeypatch):
