@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .entropy import (
     ext_recursion_table,
+    ext_top_dim,
     gy_gap,
     twist_entropy_curve,
 )
@@ -60,8 +61,20 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _fmt_exact(x) -> str:
+    """str of an int or Fraction; past the interpreter's int-to-str digit
+    limit (kept: it guards against quadratic-time conversion) an input error.
+    """
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise LatticeInputError(
+            f"result has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+
+
 def _fmt_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    return _fmt_exact(Fraction(x))
 
 
 def _dump_json(obj) -> str:
@@ -78,7 +91,7 @@ def _dump_json(obj) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, int):
-        return str(obj)
+        return _fmt_exact(obj)
     if isinstance(obj, Fraction):
         return json.dumps(_fmt_rational(obj))
     if isinstance(obj, str):
@@ -92,14 +105,14 @@ def _load_json_arg(value: str):
     if text.startswith("{") or text.startswith("["):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers past the digit limit
             raise LatticeInputError(f"bad inline JSON: {exc}") from exc
     try:
         with open(value, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise LatticeInputError(f"cannot read {value}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise LatticeInputError(f"bad JSON in {value}: {exc}") from exc
 
 
@@ -248,9 +261,19 @@ def _cmd_entropy_curve(args) -> str:
 
 
 def _cmd_ext_recursion(args) -> str:
-    table = ext_recursion_table(args.d, args.i, args.k, args.n_max)
+    d, i, k, n_max = args.d, args.i, args.k, args.n_max
+    # 0 is no limit, as on Python 3.10 before 3.10.7, which lacks the call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and min(d, i, k, n_max + 1) >= 1:
+        # Refused before any row is built: row n_max's top dimension
+        # h0(i+1) h0(1)^(n_max-1) h0(k) has more than limit digits from
+        # 4 * limit bits up, and below that it is cheap to compute and try.
+        if (n_max - 1) * ((d + 2).bit_length() - 1) >= 4 * limit:
+            raise LatticeInputError(f"--n-max {n_max}: over {limit} digits")
+        _fmt_exact(ext_top_dim(n_max, i, k, d))
+    table = ext_recursion_table(d, i, k, n_max)
     rows = [
-        [str(r.n), str(r.top_dim), str(r.growth_bound), str(r.chi)]
+        [_fmt_exact(x) for x in (r.n, r.top_dim, r.growth_bound, r.chi)]
         for r in table.rows
     ]
     return _csv(["n", "top_dim", "growth_bound", "chi"], rows)

@@ -20,7 +20,6 @@ from fractions import Fraction
 from .errors import LatticeInputError
 from .isometries import (
     Isometry,
-    power,
     tensor_line_bundle_action,
     twist_tensor_action,
 )
@@ -31,7 +30,7 @@ from .lattice import (
     rank_one_model,
     structure_sheaf_vector,
 )
-from .spectral import QuadraticSurd, radius_closed_form, spectral_radius
+from .spectral import radius_closed_form, spectral_radius
 
 
 def _positive_int(x, what: str) -> int:
@@ -166,9 +165,9 @@ def reference_growth_bound(n: int, d: int) -> int:
 def iterated_chi(n: int, i: int, k: int, model: K3LatticeModel) -> int:
     """Euler pairing against the n-th twist-tensor iterate, purely on the lattice.
 
-    Consistency oracle for the Ext recursion: apply the induced isometry n
-    times to the class of O(-i H), tensor by -k H, and pair with the
-    structure-sheaf class.
+    Consistency oracle for the Ext recursion: the induced isometry applied n
+    times to the class of O(-i H), tensored by -k H and paired with the
+    structure-sheaf class. This is the chi of row n of `ext_recursion_table`.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise LatticeInputError("n must be a non-negative integer")
@@ -176,14 +175,8 @@ def iterated_chi(n: int, i: int, k: int, model: K3LatticeModel) -> int:
     k = _positive_int(k, "k")
     if model.picard_rank != 1:
         raise LatticeInputError("iterated_chi needs a rank-one model")
-    d = model.ns_gram[0][0] // 2
-    if d < 1:
-        raise LatticeInputError("model polarization must be positive")
-    phi = twist_tensor_action(model)
-    tensor_k = tensor_line_bundle_action(model, (-k,))
-    start = MukaiVector(1, (-i,), i * i * d + 1)
-    moved = tensor_k.apply(power(phi, n).apply(start))
-    return euler_pairing(model, structure_sheaf_vector(model), moved)
+    # the model's NS form is even and positive definite, so d >= 1
+    return ext_recursion_table(model.ns_gram[0][0] // 2, i, k, n).rows[n].chi
 
 
 @dataclass(frozen=True)
@@ -207,20 +200,27 @@ class ExtRecursionTable:
 
 
 def ext_recursion_table(d: int, i: int, k: int, n_max: int) -> ExtRecursionTable:
+    """Ext growth rows for n = 0..n_max; one isometry application per row."""
     d = _positive_int(d, "d")
     i = _positive_int(i, "i")
     k = _positive_int(k, "k")
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
         raise LatticeInputError("n_max must be a non-negative integer")
     model = rank_one_model(d)
+    phi = twist_tensor_action(model)
+    tensor_k = tensor_line_bundle_action(model, (-k,))
+    o_x = structure_sheaf_vector(model)
+    moved = MukaiVector(1, (-i,), i * i * d + 1)
     rows = []
     for n in range(n_max + 1):
+        if n:
+            moved = phi.apply(moved)
         rows.append(ExtTableRow(
             n=n,
             top_degree=n + 2,
             top_dim=ext_top_dim(n, i, k, d),
             growth_bound=reference_growth_bound(n, d),
-            chi=iterated_chi(n, i, k, model),
+            chi=euler_pairing(model, o_x, tensor_k.apply(moved)),
             vanishing_range=(2, n + 2),
         ))
     return ExtRecursionTable(d, i, k, tuple(rows))
@@ -245,7 +245,7 @@ def gy_gap(d: int) -> GapReport:
     """Gap log(d+2) - log(radius) of the twist-tensor family, certified positive."""
     d = _positive_int(d, "d")
     rho = radius_closed_form(d)
-    certified = (QuadraticSurd.from_rational(d + 2) - rho).sign() > 0
+    certified = rho < d + 2
     lower = math.log(d + 2)
     log_rho = math.log(float(rho))
     return GapReport(d, lower, log_rho, lower - log_rho, certified)

@@ -32,8 +32,10 @@ _LABEL_CAP = 120
 class Isometry:
     """Integer matrix preserving the Mukai pairing, with a construction trace.
 
-    Construction checks M^T G M == G and det M == +-1 exactly, so an Isometry
-    value is a proof that the map really is a lattice isometry.
+    Construction checks M^T G M == G exactly, so an Isometry value is a proof
+    that the map is a lattice isometry. det M == +-1 follows and is not
+    re-checked: det(M)^2 det G = det G, and det G = -det NS != 0 because the
+    model's NS form has signature (1, rho-1).
     """
 
     model: K3LatticeModel
@@ -54,8 +56,6 @@ class Isometry:
         )
         if gram_back != g:
             raise LatticeInputError("matrix does not preserve the Mukai pairing")
-        if _linalg.bareiss_det(mat) not in (1, -1):
-            raise LatticeInputError("isometry must have determinant +-1")
 
     def apply(self, v: MukaiVector) -> MukaiVector:
         if len(v.c) != self.model.picard_rank:

@@ -164,7 +164,8 @@ def _perturb_square_case(model: K3LatticeModel, s: MukaiVector,
         w = add_vectors(scale_vector(n, v), u)
         q = square(model, w)
         if q > 0 and not is_perfect_square(2 * q):
-            assert mukai_pairing(model, w, s) == 0
+            if mukai_pairing(model, w, s) != 0:
+                raise RuntimeError(f"search hit {w} fails its own check")
             return sign_normalized(primitive_vector(w))
     raise SearchExhaustedError(
         "perturbation budget exhausted without breaking squareness"

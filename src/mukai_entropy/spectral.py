@@ -374,10 +374,11 @@ def _square_part(n: int) -> tuple[int, int]:
 class QuadraticSurd:
     """Exact real number a + b*sqrt(root) with rational a, b.
 
-    Canonical form: square factors are pulled out of the root, and a rational
-    value is stored with b == 0, root == 0. Supports exact sign computation
-    and comparison against rationals, which is what certified inequalities
-    need.
+    Canonical form: square factors are pulled out of the root by trial
+    division up to its cube root (up to about root^(1/3) steps per
+    construction), and a rational value is stored with b == 0, root == 0.
+    Supports exact sign computation and comparison against rationals, which
+    is what certified inequalities need.
     """
 
     a: Fraction
@@ -486,7 +487,9 @@ class QuadraticSurd:
 def radius_closed_form(d: int) -> QuadraticSurd:
     """Exact spectral radius of the twist-tensor family at polarization degree d.
 
-    Equals 1 for d <= 4 and (d - 2 + sqrt(d^2 - 4d)) / 2 for d >= 5.
+    Equals 1 for d <= 4 and (d - 2 + sqrt(d^2 - 4d)) / 2 for d >= 5. The
+    canonical surd trial-divides d^2 - 4d up to its cube root: the time grows
+    like sqrt(d) at d = p^2 (p prime) and like d^(2/3) at prime d.
     """
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise LatticeInputError("d must be a positive integer")

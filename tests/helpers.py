@@ -14,16 +14,24 @@ from itertools import product
 
 from mukai_entropy import _linalg
 from mukai_entropy.errors import SearchExhaustedError
+from mukai_entropy.isometries import (
+    power,
+    tensor_line_bundle_action,
+    twist_tensor_action,
+)
 from mukai_entropy.lattice import (
     K3LatticeModel,
     MukaiVector,
     add_vectors,
+    euler_pairing,
     is_perfect_square,
     orthogonal_complement_basis,
     primitive_vector,
+    rank_one_model,
     scale_vector,
     sign_normalized,
     square,
+    structure_sheaf_vector,
 )
 
 
@@ -313,6 +321,20 @@ def oracle_find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
     if first_positive is None:
         raise SearchExhaustedError("no positive class in the box")
     return _perturb_square_case(model, s, first_positive)
+
+
+def oracle_iterated_chi(n: int, i: int, k: int, d: int) -> int:
+    """Chi of the n-th twist-tensor iterate through power(phi, n).
+
+    phi_H is rebuilt and multiplied out n times for every n; the library
+    walks the class once per table instead.
+    """
+    model = rank_one_model(d)
+    phi = twist_tensor_action(model)
+    tensor_k = tensor_line_bundle_action(model, (-k,))
+    start = MukaiVector(1, (-i,), i * i * d + 1)
+    moved = tensor_k.apply(power(phi, n).apply(start))
+    return euler_pairing(model, structure_sheaf_vector(model), moved)
 
 
 def random_k3_model(rng: random.Random, rho: int,

@@ -1,11 +1,13 @@
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from mukai_entropy import cli
 from mukai_entropy.cli import main
 from mukai_entropy.lattice import model_from_dict, vector_from_dict
 from mukai_entropy.isometries import isometry_from_dict
@@ -206,6 +208,65 @@ def test_ext_recursion_table_csv():
         "2,160,16,14\n"
         "3,640,64,-4\n"
     )
+
+
+@pytest.fixture
+def digit_limit():
+    """Pin the interpreter's int-to-str limit at its default of 4300 digits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_input_integer_past_digit_limit_exits_two(digit_limit):
+    code, out, err = run_cli("char-poly", "--matrix", f"[[{'7' * 5001}]]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_output_integer_past_digit_limit_exits_two(digit_limit):
+    big = "9" * 2500
+    code, out, err = run_cli(
+        "pair", "--lattice", MODEL_D2, "--v", f'{{"r":{big},"c":[0],"m":1}}',
+        "--w", f'{{"r":1,"c":[0],"m":{big}}}',
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: result has more than 4300 digits\n"
+
+
+def test_entropy_curve_value_past_digit_limit_exits_two(digit_limit):
+    t = "-" + "1" * 4295
+    code, out, err = run_cli(
+        "entropy-curve", "--spherical-dim", "1000000", "--complement", "yes",
+        "--t-min", t, "--t-max", t, "--step", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: result has more than 4300 digits\n"
+
+
+def test_ext_recursion_refuses_huge_degree(digit_limit):
+    code, out, err = run_cli(
+        "ext-recursion", "--d", "1" * 3001, "--i", "1", "--k", "1",
+        "--n-max", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: result has more than 4300 digits\n"
+
+
+def test_ext_recursion_refuses_long_table_before_building(digit_limit,
+                                                          monkeypatch):
+    def no_table(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(cli, "ext_recursion_table", no_table)
+    for n_max in ("4500", "10" + "0" * 4000):
+        code, out, err = run_cli(
+            "ext-recursion", "--d", "10", "--i", "1", "--k", "1",
+            "--n-max", n_max,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_complement_search_command():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import oracle_iterated_chi
+from mukai_entropy import entropy
 from mukai_entropy.entropy import (
     CurvePiece,
     EntropyCurve,
@@ -179,6 +181,32 @@ def test_ext_recursion_table():
     assert table.rows[0].chi == 10
 
 
+def test_ext_table_chi_matches_power_oracle():
+    for d in range(1, 7):
+        model = rank_one_model(d)
+        for i in (1, 2, 3):
+            for k in (1, 2, 3):
+                table = ext_recursion_table(d, i, k, 25)
+                for n in range(26):
+                    expected = oracle_iterated_chi(n, i, k, d)
+                    assert table.rows[n].chi == expected
+                    assert iterated_chi(n, i, k, model) == expected
+
+
+def test_ext_table_builds_phi_once(monkeypatch):
+    built = []
+    real = entropy.twist_tensor_action
+
+    def counting(model):
+        built.append(model)
+        return real(model)
+
+    monkeypatch.setattr(entropy, "twist_tensor_action", counting)
+    table = ext_recursion_table(3, 1, 2, 50)
+    assert len(table.rows) == 51
+    assert len(built) == 1
+
+
 def test_gap_reference_values():
     g2 = gy_gap(2)
     assert g2.log_rho == 0.0
@@ -192,6 +220,22 @@ def test_gap_reference_values():
     assert abs(g5.gap - 0.9834864989) < 1e-9
     with pytest.raises(LatticeInputError):
         gy_gap(0)
+
+
+def test_gap_canonicalises_the_radius_surd_twice(monkeypatch):
+    # once in radius_closed_form, once in the difference behind rho < d + 2
+    from mukai_entropy import spectral
+
+    calls = []
+    real = spectral._square_part
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(spectral, "_square_part", counting)
+    assert gy_gap(50).certified
+    assert calls == [2300, 23]
 
 
 def test_gap_certified_for_sample_degrees():

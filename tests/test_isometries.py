@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_k3_model, random_spherical, random_vector
+from helpers import fraction_det, random_k3_model, random_spherical, random_vector
 from mukai_entropy import _linalg
 from mukai_entropy.errors import InvarianceError, LatticeInputError
 from mukai_entropy.isometries import (
@@ -297,6 +298,37 @@ def test_pairing_preservation_random_composites():
         w = random_vector(rng, model, 20)
         assert mukai_pairing(model, action.apply(v), action.apply(w)) == \
             mukai_pairing(model, v, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_constructed_isometries_have_unit_determinant(seed):
+    # Isometry checks only M^T G M == G; det M == +-1 is re-derived here
+    # by rational elimination, independent of Bareiss
+    rng = random.Random(seed)
+    model = random_k3_model(rng, rng.randint(1, 3))
+    action = identity_action(model)
+    for _ in range(rng.randint(1, 5)):
+        choice = rng.randrange(6)
+        if choice == 0:
+            step = spherical_twist_action(model, random_spherical(rng, model))
+        elif choice == 1:
+            step = tensor_line_bundle_action(
+                model, [rng.randint(-3, 3) for _ in range(model.picard_rank)]
+            )
+        elif choice == 2:
+            step = shift_action(model, rng.randint(-3, 3))
+        elif choice == 3:
+            step = inverse(action)
+        elif choice == 4:
+            step = power(action, rng.randint(-3, 3))
+        elif model.ns_gram[0][0] > 0:
+            step = twist_tensor_action(model)
+        else:
+            step = identity_action(model)
+        assert fraction_det(step.matrix) in (1, -1)
+        action = compose(step, action)
+        assert fraction_det(action.matrix) in (1, -1)
 
 
 def test_isometry_constructor_rejects_non_isometries():

@@ -144,6 +144,21 @@ def test_perturbation_repairs_square_case():
     assert mukai_pairing(m1, repaired, S) == 0
 
 
+def test_perturbed_result_is_checked_explicitly(monkeypatch):
+    # no class of the bound-1 box qualifies, so the search perturbs; a
+    # pairing that reads <N v + u, s> != 0 must raise even under python -O
+    from mukai_entropy import orthosearch
+
+    model = K3LatticeModel(3, ((2, 0, 0), (0, -4, 2), (0, 2, -2)))
+    s = V(-1, (0, 1, -1), 4)
+    real = orthosearch.mukai_pairing
+    monkeypatch.setattr(orthosearch, "mukai_pairing",
+                        lambda m, a, b: real(m, a, b) + 1)
+    with pytest.raises(RuntimeError, match="fails its own check") as info:
+        find_positive_orthogonal(model, s, 1)
+    assert info.traceback[-1].name == "_perturb_square_case"
+
+
 def test_anisotropic_combination_falls_back_to_sums():
     from mukai_entropy.lattice import K3LatticeModel
     from mukai_entropy.orthosearch import _anisotropic_combination
