@@ -1,11 +1,15 @@
-"""Exact integer and rational matrix routines used across the package.
+"""Exact integer matrix routines used across the package.
 
-Everything works on plain nested sequences of Python ints (or Fractions
-where stated) so there is no rounding anywhere.
+Everything works on plain nested sequences of Python ints, so there is no
+rounding anywhere. Every question about integer spans (kernels, membership,
+primitivity, inverses of unimodular matrices) goes through one unimodular
+column reduction; `inertia` is the only other elimination, a congruence
+diagonalization over Q for signatures.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import LatticeInputError
@@ -52,31 +56,6 @@ def is_square_symmetric(a) -> bool:
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def bareiss_det(a) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd with g >= 0; returns (g, x, y) with x*a + y*b == g."""
     x, nx = 1, 0
@@ -92,19 +71,26 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def integer_kernel_basis(rows, n: int) -> list[tuple[int, ...]]:
-    """Basis of {x in Z^n : R x = 0} for integer row constraints R.
+def column_reduce(rows, n: int):
+    """Unimodular column reduction R V = E of k integer rows of length n.
 
-    Unimodular column reduction; the returned vectors span the kernel as a
-    lattice, which is automatically saturated.
+    Returns (ecols, vcols, pivots): ecols[j] and vcols[j] are column j of E
+    and of V, and pivots[r] is the column holding the gcd of row r after the
+    columns free at step r are combined into it, or None when row r is a
+    rational combination of the rows above. Row r of E is zero in every
+    column that was still free at step r, so E is lower triangular on the
+    pivot columns and zero on the rest: the columns of V that no row claimed
+    span the integer kernel of R, which is automatically saturated.
     """
     k = len(rows)
     acols = [[int(rows[r][j]) for r in range(k)] for j in range(n)]
     vcols = [[1 if t == j else 0 for t in range(n)] for j in range(n)]
     active = list(range(n))
+    pivots = []
     for r in range(k):
         nz = [j for j in active if acols[j][r] != 0]
         if not nz:
+            pivots.append(None)
             continue
         j0 = nz[0]
         for j in nz[1:]:
@@ -120,75 +106,42 @@ def integer_kernel_basis(rows, n: int) -> list[tuple[int, ...]]:
                 [-qg * vcols[j0][t] + pg * vcols[j][t] for t in range(n)],
             )
         active.remove(j0)
-    return [tuple(vcols[j]) for j in active]
+        pivots.append(j0)
+    return acols, vcols, pivots
 
 
-def _rref(mat: list[list[Fraction]]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column list."""
-    pivots = []
-    row = 0
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if n_rows else 0
-    for col in range(n_cols):
-        piv = next((i for i in range(row, n_rows) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for i in range(n_rows):
-            if i != row and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    return pivots
+def span_coordinates(columns, targets) -> list[tuple[int, ...] | None]:
+    """Integer coordinates of each target in a basis of a primitive sublattice.
 
-
-def rational_rank(rows) -> int:
-    if not rows:
-        return 0
-    mat = [[Fraction(x) for x in row] for row in rows]
-    return len(_rref(mat))
-
-
-def solve_exact(columns, target) -> list[Fraction] | None:
-    """Solve sum_j x_j * columns[j] == target over Q.
-
-    Returns one solution (unique when the columns are independent) or None
-    when the system is inconsistent.
+    One column reduction of the basis rows B^T gives B^T V = E. Then
+    B x = t exactly when x^T E = t^T V: t^T V must vanish off the pivot
+    columns (else t leaves the rational span, and None is returned), and x
+    follows by back substitution on the triangular pivot part. A basis whose
+    pivots multiply to +-1 spans a primitive sublattice, and then every
+    division is by +-1, so each target in the rational span is an integer
+    combination. A dependent or non-primitive basis is an input error.
     """
-    n = len(target)
+    n = len(columns[0])
     k = len(columns)
-    mat = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(n)]
-    pivots = _rref(mat)
-    if k in pivots:
-        return None
-    sol = [Fraction(0)] * k
-    for row, col in enumerate(pivots):
-        sol[col] = mat[row][k]
-    return sol
-
-
-def invert_unimodular(m) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = []
-    for i in range(n):
-        row = aug[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        inv.append(tuple(int(x) for x in row))
-    return tuple(inv)
+    ecols, vcols, pivots = column_reduce(columns, n)
+    if None in pivots:
+        raise LatticeInputError("sublattice basis vectors are dependent")
+    if math.prod(ecols[p][r] for r, p in enumerate(pivots)) not in (1, -1):
+        raise LatticeInputError("basis does not span a primitive sublattice")
+    free = [j for j in range(n) if j not in pivots]
+    out = []
+    for t in targets:
+        w = [sum(a * b for a, b in zip(vcol, t)) for vcol in vcols]
+        if any(w[j] for j in free):
+            out.append(None)
+            continue
+        x = [0] * k
+        for r in reversed(range(k)):
+            col = ecols[pivots[r]]
+            rest = w[pivots[r]] - sum(x[s] * col[s] for s in range(r + 1, k))
+            x[r] = rest * col[r]  # col[r] is +-1, its own inverse
+        out.append(tuple(x))
+    return out
 
 
 def inertia(gram) -> tuple[int, int, int]:

@@ -39,7 +39,6 @@ from .lattice import (
     model_to_dict,
     mukai_pairing,
     rank_one_model,
-    signature_of,
     vector_from_dict,
 )
 from .orthosearch import find_positive_orthogonal, search_report
@@ -53,8 +52,12 @@ from .spectral import (
 
 DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_ENV = "MUKAI_ENTROPY_TOL"
-# entropy-curve grids longer than this are refused instead of tabulated
+# entropy-curve and gy-gap tables longer than this are refused instead of
+# tabulated
 MAX_CURVE_ROWS = 100_000
+# gy-gap refuses d past this: radius_closed_form trial-divides d^2 - 4d to
+# its cube root; a row near the cap takes up to about 2 ms
+MAX_GY_D = 10 ** 6
 
 
 def _fmt_float(x: float) -> str:
@@ -156,10 +159,10 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
 
 def _cmd_lattice_check(args) -> str:
     model = _load_model(args.gram)
-    sig = signature_of(model.mukai_gram)
+    # the model enforces NS signature (1, rho-1); H^0 + H^4 adds (1, 1)
     print(
         f"ok: NS signature (1, {model.picard_rank - 1}), "
-        f"Mukai signature ({sig.n_plus}, {sig.n_minus})",
+        f"Mukai signature (2, {model.picard_rank})",
         file=sys.stderr,
     )
     return _dump_json(model_to_dict(model)) + "\n"
@@ -218,6 +221,12 @@ def _cmd_spectral_radius(args) -> str:
 def _cmd_gy_gap(args) -> str:
     if args.d_min < 1 or args.d_max < args.d_min:
         raise LatticeInputError("need 1 <= d-min <= d-max")
+    if args.d_max > MAX_GY_D:
+        raise LatticeInputError(f"--d-max must be at most {MAX_GY_D}")
+    if args.d_max - args.d_min + 1 > MAX_CURVE_ROWS:
+        raise LatticeInputError(
+            f"sweep has more than {MAX_CURVE_ROWS} rows; narrow the d range"
+        )
     rows = []
     for d in range(args.d_min, args.d_max + 1):
         report = gy_gap(d)

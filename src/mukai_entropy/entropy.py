@@ -230,8 +230,8 @@ def ext_recursion_table(d: int, i: int, k: int, n_max: int) -> ExtRecursionTable
 class GapReport:
     """Entropy lower bound versus lattice radius for one polarization degree.
 
-    `certified` records that d + 2 > radius was established by exact surd
-    comparison, not by the float subtraction in `gap`.
+    `certified` records that d + 2 > radius was established by an exact
+    integer comparison, not by the float subtraction in `gap`.
     """
 
     d: int
@@ -244,10 +244,11 @@ class GapReport:
 def gy_gap(d: int) -> GapReport:
     """Gap log(d+2) - log(radius) of the twist-tensor family, certified positive."""
     d = _positive_int(d, "d")
-    rho = radius_closed_form(d)
-    certified = rho < d + 2
+    # the radius is 1 for d <= 4; from d = 5 on, (d - 2 + sqrt(m)) / 2 < d + 2
+    # with m = d^2 - 4d is sqrt(m) < d + 6, and both sides are non-negative
+    certified = d <= 4 or d * d - 4 * d < (d + 6) ** 2
     lower = math.log(d + 2)
-    log_rho = math.log(float(rho))
+    log_rho = math.log(float(radius_closed_form(d)))
     return GapReport(d, lower, log_rho, lower - log_rho, certified)
 
 

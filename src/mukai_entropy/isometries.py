@@ -3,14 +3,12 @@
 Spherical twists act as reflections v -> v + <v, s> s in a (-2)-class, line
 bundle tensors as unipotent Mukai products, shifts as global signs. Matrices
 act on column coordinate vectors and compose(a, b) means "apply b, then a",
-matching functor composition, so no transposes appear anywhere.
+matching functor composition, so composing needs no transposes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import _linalg
 from .errors import InvarianceError, LatticeInputError
@@ -147,9 +145,12 @@ def compose(a: Isometry, b: Isometry) -> Isometry:
 
 
 def inverse(a: Isometry) -> Isometry:
-    return Isometry(
-        a.model, _linalg.invert_unimodular(a.matrix), f"inverse[{a.label}]"
+    """Column i of M^-1 solves M x = e_i; M is unimodular, so each one does."""
+    n = a.model.rank
+    cols = _linalg.span_coordinates(
+        _linalg.transpose(a.matrix), _linalg.identity(n)
     )
+    return Isometry(a.model, _linalg.transpose(cols), f"inverse[{a.label}]")
 
 
 def power(a: Isometry, n: int) -> Isometry:
@@ -206,42 +207,26 @@ def restrict_to_sublattice(a: Isometry, basis) -> tuple[tuple[int, ...], ...]:
     """Matrix of the isometry in the given sublattice basis.
 
     The basis must be independent, primitive and span an invariant sublattice;
-    each failure is an error, never a silent projection.
+    each failure is an error, never a silent projection. One unimodular
+    column reduction of the basis decides all three and gives the
+    coordinates of the images. Primitivity makes every image in the rational
+    span an integer combination, so that is the only invariance test.
     """
     vectors = list(basis)
     if not vectors:
         raise LatticeInputError("sublattice basis must be non-empty")
-    n = a.model.rank
-    k = len(vectors)
     for v in vectors:
         if len(v.c) != a.model.picard_rank:
             raise LatticeInputError("basis vector rank does not match model")
-    columns = [v.coords for v in vectors]
-    if _linalg.rational_rank(columns) != k:
-        raise LatticeInputError("sublattice basis vectors are dependent")
-    minor_gcd = 0
-    for rows in combinations(range(n), k):
-        minor = _linalg.bareiss_det(
-            [[columns[j][i] for j in range(k)] for i in rows]
-        )
-        minor_gcd = math.gcd(minor_gcd, abs(minor))
-    if minor_gcd != 1:
-        raise LatticeInputError("basis does not span a primitive sublattice")
-    out_cols = []
-    for v in vectors:
-        image = a.apply(v).coords
-        sol = _linalg.solve_exact(columns, image)
-        if sol is None:
+    coords = _linalg.span_coordinates(
+        [v.coords for v in vectors], [a.apply(v).coords for v in vectors]
+    )
+    for v, x in zip(vectors, coords):
+        if x is None:
             raise InvarianceError(
                 f"image of {_fmt_vec(v)} leaves the span of the basis"
             )
-        if any(x.denominator != 1 for x in sol):
-            raise InvarianceError(
-                f"image of {_fmt_vec(v)} is not an integer combination "
-                "of the basis"
-            )
-        out_cols.append([int(x) for x in sol])
-    return tuple(tuple(out_cols[j][i] for j in range(k)) for i in range(k))
+    return _linalg.transpose(coords)
 
 
 def fixes_pointwise(a: Isometry, vectors) -> bool:

@@ -201,8 +201,9 @@ def orthogonal_complement_basis(model: K3LatticeModel, vectors) -> list[MukaiVec
         _check_vector(model, v)
     n = model.rank
     rows = [_linalg.mat_vec(model.mukai_gram, v.coords) for v in vs]
-    kernel = _linalg.integer_kernel_basis(rows, n)
-    return [MukaiVector.from_coords(vec) for vec in kernel]
+    _, vcols, pivots = _linalg.column_reduce(rows, n)
+    return [MukaiVector.from_coords(vcols[j]) for j in range(n)
+            if j not in pivots]
 
 
 def is_perfect_square(n: int) -> bool:

@@ -189,10 +189,13 @@ def _anisotropic_combination(model, basis):
 class SignatureReport:
     """Inertia bookkeeping around a spherical class.
 
-    The ambient Mukai form has signature (2, rho); removing the negative
-    direction spanned by s leaves (2, rho - 1) on its orthogonal complement.
-    When a negative-definite test subspace is supplied, the signature of its
-    span together with s is reported as well.
+    The ambient Mukai form has signature (2, rho): the model enforces NS
+    signature (1, rho-1), and the H^0 + H^4 plane adds (1, 1). A spherical s
+    spans a negative line, (0, 1), and since s^2 != 0 the rational lattice
+    splits as Q s + s^perp, leaving (2, rho - 1) on the complement. These
+    three are therefore returned without an elimination. When a
+    negative-definite test subspace is supplied, the signature of its span
+    together with s is computed and reported as well.
     """
 
     full: Signature
@@ -205,10 +208,7 @@ def signature_report(model: K3LatticeModel, s: MukaiVector,
                      negative_subspace=None) -> SignatureReport:
     if not is_spherical_class(model, s):
         raise LatticeInputError("signature report needs a spherical class")
-    full = signature_of(model.mukai_gram)
-    s_line = signature_of(((square(model, s),),))
-    comp = orthogonal_complement_basis(model, [s])
-    s_perp = signature_of(pairing_matrix(model, comp))
+    rho = model.picard_rank
     extended = None
     if negative_subspace:
         vectors = list(negative_subspace)
@@ -216,7 +216,8 @@ def signature_report(model: K3LatticeModel, s: MukaiVector,
         if sub_sig.n_plus != 0 or sub_sig.n_zero != 0:
             raise LatticeInputError("test subspace must be negative definite")
         extended = signature_of(pairing_matrix(model, vectors + [s]))
-    return SignatureReport(full, s_line, s_perp, extended)
+    return SignatureReport(Signature(2, rho, 0), Signature(0, 1, 0),
+                           Signature(2, rho - 1, 0), extended)
 
 
 def search_report(model: K3LatticeModel, v: MukaiVector) -> dict:

@@ -313,7 +313,13 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
         _, hi_root = _sqrt_bounds(hi2, bits)
         if hi_root - lo_root <= tol:
             mid = (lo_root + hi_root) / 2
-            value = float(mid)
+            try:
+                value = float(mid)
+            except OverflowError as exc:
+                raise LatticeInputError(
+                    f"spectral radius of about 2^{math.floor(mid).bit_length()}"
+                    f" is past the float range"
+                ) from exc
             if not (lo_root <= Fraction(value) <= hi_root):
                 value = float(lo_root)
             return CertifiedRadius(value, lo_root, hi_root, tolerance)

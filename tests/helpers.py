@@ -10,10 +10,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from mukai_entropy import _linalg
-from mukai_entropy.errors import SearchExhaustedError
+from mukai_entropy.errors import (
+    InvarianceError,
+    LatticeInputError,
+    SearchExhaustedError,
+)
 from mukai_entropy.isometries import (
     power,
     tensor_line_bundle_action,
@@ -74,11 +78,133 @@ def oracle_signature_by_descartes(gram) -> tuple[int, int, int]:
     return plus, minus, zero
 
 
+# --- Fraction and Bareiss eliminations, oracles for the column reduction ---
+
+def bareiss_det(a) -> int:
+    """Fraction-free determinant of an integer matrix."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _rref(mat: list[list[Fraction]]) -> list[int]:
+    """In-place reduced row echelon form; returns the pivot column list."""
+    pivots = []
+    row = 0
+    n_rows = len(mat)
+    n_cols = len(mat[0]) if n_rows else 0
+    for col in range(n_cols):
+        piv = next((i for i in range(row, n_rows) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        inv = 1 / mat[row][col]
+        mat[row] = [x * inv for x in mat[row]]
+        for i in range(n_rows):
+            if i != row and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[row])]
+        pivots.append(col)
+        row += 1
+        if row == n_rows:
+            break
+    return pivots
+
+
+def rational_rank(rows) -> int:
+    if not rows:
+        return 0
+    mat = [[Fraction(x) for x in row] for row in rows]
+    return len(_rref(mat))
+
+
+def solve_exact(columns, target) -> list[Fraction] | None:
+    """Solve sum_j x_j * columns[j] == target over Q.
+
+    Returns one solution (unique when the columns are independent) or None
+    when the system is inconsistent.
+    """
+    n = len(target)
+    k = len(columns)
+    mat = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
+           for i in range(n)]
+    pivots = _rref(mat)
+    if k in pivots:
+        return None
+    sol = [Fraction(0)] * k
+    for row, col in enumerate(pivots):
+        sol[col] = mat[row][k]
+    return sol
+
+
+def oracle_invert_unimodular(m) -> tuple[tuple[int, ...], ...]:
+    """Exact inverse of an integer matrix with determinant +-1."""
+    n = len(m)
+    aug = [[Fraction(m[i][j]) for j in range(n)]
+           + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i in range(n)]
+    pivots = _rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    inv = []
+    for i in range(n):
+        row = aug[i][n:]
+        if any(x.denominator != 1 for x in row):
+            raise ValueError("matrix is not unimodular")
+        inv.append(tuple(int(x) for x in row))
+    return tuple(inv)
+
+
+def oracle_restrict_to_sublattice(a, basis) -> tuple[tuple[int, ...], ...]:
+    """Restriction by rank, gcd of maximal minors and rational solves.
+
+    The minors loop stops once the gcd reaches 1, so a primitive basis is
+    cheap; a non-primitive one walks all C(n, k) minors.
+    """
+    columns = [v.coords for v in basis]
+    n, k = len(columns[0]), len(columns)
+    if rational_rank(columns) != k:
+        raise LatticeInputError("sublattice basis vectors are dependent")
+    minor_gcd = 0
+    for rows in combinations(range(n), k):
+        minor = bareiss_det([[columns[j][i] for j in range(k)] for i in rows])
+        minor_gcd = math.gcd(minor_gcd, abs(minor))
+        if minor_gcd == 1:
+            break
+    if minor_gcd != 1:
+        raise LatticeInputError("basis does not span a primitive sublattice")
+    out_cols = []
+    for v in basis:
+        sol = solve_exact(columns, a.apply(v).coords)
+        if sol is None or any(x.denominator != 1 for x in sol):
+            raise InvarianceError("image leaves the integer span of the basis")
+        out_cols.append([int(x) for x in sol])
+    return tuple(tuple(out_cols[j][i] for j in range(k)) for i in range(k))
+
+
 def in_lattice(basis, vector) -> bool:
     """Exact test that `vector` is an integer combination of `basis`."""
     if not basis:
         return all(x == 0 for x in vector)
-    sol = _linalg.solve_exact([b.coords for b in basis], vector.coords)
+    sol = solve_exact([b.coords for b in basis], vector.coords)
     return sol is not None and all(x.denominator == 1 for x in sol)
 
 
@@ -246,7 +372,7 @@ def oracle_sylvester_resultant(f, g) -> int:
     gd = list(reversed(g))
     rows = [[0] * i + fd + [0] * (size - df - 1 - i) for i in range(dg)]
     rows += [[0] * i + gd + [0] * (size - dg - 1 - i) for i in range(df)]
-    return _linalg.bareiss_det(rows)
+    return bareiss_det(rows)
 
 
 def oracle_root_product_poly(p) -> list[int]:
@@ -335,6 +461,44 @@ def oracle_iterated_chi(n: int, i: int, k: int, d: int) -> int:
     start = MukaiVector(1, (-i,), i * i * d + 1)
     moved = tensor_k.apply(power(phi, n).apply(start))
     return euler_pairing(model, structure_sheaf_vector(model), moved)
+
+
+def unimodular_k3_model(rng: random.Random, rho: int, d: int) -> K3LatticeModel:
+    """NS Gram <2d> + <-2>^(rho-1) under a seeded unimodular change U.
+
+    The generator of the benchmark inputs: U fixes e_1 (only columns
+    2..rho are touched), so U^T G U keeps the signature (1, rho-1), the
+    evenness and the polarization e_1 of square 2d. Covers every Picard
+    rank 1..20 without rejection sampling.
+    """
+    g = [[0] * rho for _ in range(rho)]
+    g[0][0] = 2 * d
+    for i in range(1, rho):
+        g[i][i] = -2
+    u = [[int(i == j) for j in range(rho)] for i in range(rho)]
+    for _ in range(rho // 2):
+        i = rng.randrange(1, rho)
+        j = rng.choice([t for t in range(rho) if t != i])
+        c = rng.choice((-1, 1))
+        for row in u:
+            row[i] += c * row[j]
+    gu = [[sum(g[a][b] * u[b][j] for b in range(rho)) for j in range(rho)]
+          for a in range(rho)]
+    return K3LatticeModel(rho, tuple(
+        tuple(sum(u[a][i] * gu[a][j] for a in range(rho)) for j in range(rho))
+        for i in range(rho)
+    ))
+
+
+def basis_spherical_class(rng: random.Random,
+                          model: K3LatticeModel) -> MukaiVector:
+    """(r, +-e_i, r (e_i^2 + 2) / 2) with r = +-1: square -2 by construction."""
+    rho = model.picard_rank
+    c = [0] * rho
+    i = rng.randrange(rho)
+    c[i] = rng.choice((-1, 1))
+    r = rng.choice((-1, 1))
+    return MukaiVector(r, tuple(c), r * (model.ns_gram[i][i] + 2) // 2)
 
 
 def random_k3_model(rng: random.Random, rho: int,

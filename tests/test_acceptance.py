@@ -24,6 +24,7 @@ from helpers import (
     oracle_pairing,
     random_k3_model,
     random_vector,
+    solve_exact,
     spherical_classes_in_box,
 )
 from mukai_entropy import _linalg
@@ -307,7 +308,7 @@ def _box_enumeration_facts(model, s, bound):
 
 def _coefficients_in_complement(model, s, v):
     basis = orthogonal_complement_basis(model, [s])
-    sol = _linalg.solve_exact([b.coords for b in basis], v.coords)
+    sol = solve_exact([b.coords for b in basis], v.coords)
     assert sol is not None and all(x.denominator == 1 for x in sol)
     return [int(x) for x in sol]
 

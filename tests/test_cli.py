@@ -146,6 +146,34 @@ def test_gy_gap_sweep_ordering():
     assert code == 2
 
 
+def test_gy_gap_refuses_d_past_cap(monkeypatch):
+    code, out, _ = run_cli("gy-gap", "--d-min", str(cli.MAX_GY_D),
+                           "--d-max", str(cli.MAX_GY_D))
+    assert code == 0 and out.startswith("d,") and len(out.split("\n")) == 3
+
+    def refuse(d):
+        raise AssertionError("gy_gap ran before the bounds were checked")
+
+    monkeypatch.setattr(cli, "gy_gap", refuse)
+    for d_min, d_max in ((1, cli.MAX_GY_D + 1), (10 ** 18, 10 ** 18)):
+        code, _, err = run_cli("gy-gap", "--d-min", str(d_min),
+                               "--d-max", str(d_max))
+        assert code == 2 and "at most" in err
+
+
+def test_gy_gap_row_cap(monkeypatch):
+    monkeypatch.setattr(cli, "gy_gap", None)  # refused before any row
+    code, _, err = run_cli("gy-gap", "--d-min", "1",
+                           "--d-max", str(cli.MAX_CURVE_ROWS + 1))
+    assert code == 2 and "rows" in err
+
+
+def test_spectral_radius_past_float_range_exits_two():
+    code, out, err = run_cli("spectral-radius", "--matrix",
+                             "[[1" + "0" * 400 + "]]")
+    assert code == 2 and out == "" and "float range" in err
+
+
 def test_entropy_curve_reference_rows():
     code, out, _ = run_cli(
         "entropy-curve", "--spherical-dim", "2", "--complement", "yes",

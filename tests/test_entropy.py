@@ -222,8 +222,8 @@ def test_gap_reference_values():
         gy_gap(0)
 
 
-def test_gap_canonicalises_the_radius_surd_twice(monkeypatch):
-    # once in radius_closed_form, once in the difference behind rho < d + 2
+def test_gap_canonicalises_the_radius_surd_once(monkeypatch):
+    # in radius_closed_form only; the certificate is an integer comparison
     from mukai_entropy import spectral
 
     calls = []
@@ -235,7 +235,13 @@ def test_gap_canonicalises_the_radius_surd_twice(monkeypatch):
 
     monkeypatch.setattr(spectral, "_square_part", counting)
     assert gy_gap(50).certified
-    assert calls == [2300, 23]
+    assert calls == [2300]
+
+
+def test_gap_certificate_agrees_with_surd_comparison():
+    # the integer test m < (d + 6)^2 against the exact surd comparison
+    for d in [*range(1, 600), 997_001, 10 ** 6]:
+        assert gy_gap(d).certified == (radius_closed_form(d) < d + 2) is True
 
 
 def test_gap_certified_for_sample_degrees():

@@ -1,9 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import fraction_det, random_k3_model, random_spherical, random_vector
+from helpers import (
+    basis_spherical_class,
+    fraction_det,
+    oracle_invert_unimodular,
+    oracle_restrict_to_sublattice,
+    random_k3_model,
+    random_spherical,
+    random_vector,
+    solve_exact,
+    unimodular_k3_model,
+)
 from mukai_entropy import _linalg
 from mukai_entropy.errors import InvarianceError, LatticeInputError
 from mukai_entropy.isometries import (
@@ -25,9 +35,12 @@ from mukai_entropy.isometries import (
 from mukai_entropy.lattice import (
     K3LatticeModel,
     MukaiVector,
+    add_vectors,
     mukai_pairing,
     orthogonal_complement_basis,
+    primitive_vector,
     rank_one_model,
+    scale_vector,
 )
 
 V = MukaiVector
@@ -354,3 +367,141 @@ def test_isometry_json_round_trip():
     assert data["picard_rank"] == 1
     with pytest.raises(LatticeInputError):
         isometry_from_dict(rank_one_model(2), {"matrix": [[1]], "picard_rank": 5})
+
+
+# --- property tests at every Mukai rank 3..22 --------------------------------
+
+RANKS = st.integers(1, 20)  # Picard rank; the Mukai rank is rho + 2
+
+
+def _word(rng, model, twist_classes):
+    """Twists along the given classes, with tensors and shifts in between."""
+    action = identity_action(model)
+    for s in twist_classes:
+        step = rng.randrange(3)
+        if step == 0:
+            action = compose(tensor_line_bundle_action(
+                model, [rng.randint(-1, 1) for _ in range(model.picard_rank)]
+            ), action)
+        elif step == 1:
+            action = compose(shift_action(model, rng.randint(-2, 2)), action)
+        action = compose(spherical_twist_action(model, s), action)
+    return action
+
+
+def _mix(rng, vectors):
+    """A seeded unimodular change of basis: adds, swaps and sign flips."""
+    vs = list(vectors)
+    for _ in range(2 * len(vs)):
+        i, j = rng.randrange(len(vs)), rng.randrange(len(vs))
+        if i != j:
+            vs[i] = add_vectors(vs[i], scale_vector(rng.choice((-1, 1)), vs[j]))
+        else:
+            vs[i] = scale_vector(-1, vs[i])
+    rng.shuffle(vs)
+    return vs
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=RANKS, seed=st.integers(0, 2**32 - 1),
+       m=st.integers(-3, 3), n=st.integers(-3, 3))
+@example(rho=20, seed=5, m=-3, n=2)
+def test_group_laws_at_every_rank(rho, seed, m, n):
+    rng = random.Random(seed)
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 6))
+    a, b, c = (
+        _word(rng, model, [basis_spherical_class(rng, model)
+                           for _ in range(rng.randint(1, 3))])
+        for _ in range(3)
+    )
+    assert power(a, m + n).matrix == compose(power(a, m), power(a, n)).matrix
+    assert compose(compose(a, b), c).matrix == compose(a, compose(b, c)).matrix
+    ident = identity_action(model).matrix
+    assert compose(a, inverse(a)).matrix == ident
+    assert compose(inverse(a), a).matrix == ident
+    assert inverse(a).matrix == oracle_invert_unimodular(a.matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=RANKS, seed=st.integers(0, 2**32 - 1), kind=st.integers(0, 2))
+@example(rho=20, seed=5, kind=0)
+@example(rho=20, seed=5, kind=1)
+@example(rho=20, seed=5, kind=2)
+def test_restriction_matches_rational_oracle_at_every_rank(rho, seed, kind):
+    rng = random.Random(seed)
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 6))
+    classes = [basis_spherical_class(rng, model)
+               for _ in range(rng.randint(1, 3))]
+    if kind == 2:  # the whole lattice, in the basis of a unimodular matrix
+        action = _word(rng, model, classes)
+        basis = [V.from_coords(row) for row in inverse(action).matrix]
+    else:
+        # twists and a shift preserve the lattice the twist classes fix
+        # pointwise, and with it its complement, the saturated span of
+        # the classes
+        action = shift_action(model, rng.randint(0, 1))
+        for s in classes:
+            action = compose(spherical_twist_action(model, s), action)
+        basis = orthogonal_complement_basis(model, classes)
+        if kind == 1:
+            basis = orthogonal_complement_basis(model, basis)
+    basis = _mix(rng, basis)
+    assert restrict_to_sublattice(action, basis) == \
+        oracle_restrict_to_sublattice(action, basis)
+
+    # a doubled vector spans a sublattice of index 2
+    doubled = [scale_vector(2, basis[0])] + basis[1:]
+    with pytest.raises(LatticeInputError, match="primitive"):
+        restrict_to_sublattice(action, doubled)
+    # a sum of two basis vectors more is dependent
+    extra = basis + [add_vectors(basis[0], basis[-1])]
+    with pytest.raises(LatticeInputError, match="dependent"):
+        restrict_to_sublattice(action, extra)
+    with pytest.raises(LatticeInputError, match="dependent"):
+        oracle_restrict_to_sublattice(action, extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=RANKS, seed=st.integers(0, 2**32 - 1))
+@example(rho=20, seed=5)
+def test_span_coordinates_match_rational_solve(rho, seed):
+    rng = random.Random(seed)
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 6))
+    classes = [basis_spherical_class(rng, model)
+               for _ in range(rng.randint(1, 3))]
+    basis = _mix(rng, orthogonal_complement_basis(model, classes))
+    columns = [b.coords for b in basis]
+    inside = [rng.randint(-9, 9) for _ in basis]
+    targets = [
+        tuple(sum(x * col[i] for x, col in zip(inside, columns))
+              for i in range(model.rank)),
+        random_vector(rng, model, 9).coords,
+        add_vectors(V.from_coords(columns[0]), classes[0]).coords,
+    ]
+    got = _linalg.span_coordinates(columns, targets)
+    assert got[0] == tuple(inside)
+    for x, t in zip(got, targets):
+        sol = solve_exact(columns, t)
+        if sol is None:
+            assert x is None
+        else:
+            assert x == tuple(sol)  # integral: the basis is primitive
+
+
+@settings(max_examples=30, deadline=None)
+@given(rho=RANKS, seed=st.integers(0, 2**32 - 1))
+@example(rho=20, seed=5)
+def test_line_through_a_moved_vector_is_not_invariant(rho, seed):
+    rng = random.Random(seed)
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 6))
+    s = basis_spherical_class(rng, model)
+    twist = spherical_twist_action(model, s)
+    v = primitive_vector(random_vector(rng, model, 9))
+    if all(x == 0 for x in v.coords) or mukai_pairing(model, v, s) == 0 \
+            or v in (s, scale_vector(-1, s)):
+        return
+    # the twist moves v by <v, s> s, off the line through v
+    with pytest.raises(InvarianceError):
+        restrict_to_sublattice(twist, [v])
+    with pytest.raises(InvarianceError):
+        oracle_restrict_to_sublattice(twist, [v])

@@ -1,15 +1,18 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    basis_spherical_class,
     oracle_coefficient_shells,
     oracle_find_positive_orthogonal,
     random_k3_model,
     random_spherical,
     spherical_classes_in_box,
+    unimodular_k3_model,
 )
+from mukai_entropy import _linalg, lattice, orthosearch
 from mukai_entropy.errors import LatticeInputError, SearchExhaustedError
 from mukai_entropy.lattice import (
     K3LatticeModel,
@@ -26,6 +29,7 @@ from mukai_entropy.lattice import (
     structure_sheaf_vector,
     vector_content,
 )
+from mukai_entropy.isometries import spherical_twist_action
 from mukai_entropy.orthosearch import (
     Rank2Form,
     _coefficient_shells,
@@ -241,6 +245,61 @@ def test_s_perp_drops_one_negative_direction():
         comp = orthogonal_complement_basis(model, [s])
         sig = signature_of(pairing_matrix(model, comp))
         assert sig.as_tuple() == (2, rho - 1, 0)
+
+
+def _moved_spherical(rng, model):
+    """A spherical class moved off the coordinate axes by a few twists."""
+    s = basis_spherical_class(rng, model)
+    for _ in range(rng.randint(0, 2)):
+        s = spherical_twist_action(
+            model, basis_spherical_class(rng, model)).apply(s)
+    return s
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+@example(rho=20, seed=5)
+def test_signature_report_matches_eliminations_at_every_rank(rho, seed):
+    rng = random.Random(seed)
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 6))
+    s = _moved_spherical(rng, model)
+    t = _moved_spherical(rng, model)  # square -2: a negative definite line
+    report = signature_report(model, s, [t])
+    units = [V.from_coords(row) for row in _linalg.identity(model.rank)]
+    assert report.full == signature_of(pairing_matrix(model, units))
+    assert report.s_line == signature_of(pairing_matrix(model, [s]))
+    assert report.s_perp == signature_of(pairing_matrix(
+        model, orthogonal_complement_basis(model, [s])))
+    assert report.extended == signature_of(pairing_matrix(model, [t, s]))
+    plain = signature_report(model, s)
+    assert (plain.full, plain.s_line, plain.s_perp, plain.extended) == \
+        (report.full, report.s_line, report.s_perp, None)
+
+
+@pytest.mark.parametrize("rho", [1, 2, 8, 20])
+def test_signature_report_runs_no_elimination(monkeypatch, rho):
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(_linalg, "inertia")
+    for module in (lattice, orthosearch):
+        counted(module, "orthogonal_complement_basis")
+        counted(module, "pairing_matrix")
+    rng = random.Random(rho)
+    model = unimodular_k3_model(rng, rho, 3)
+    s = _moved_spherical(rng, model)
+    calls.clear()
+    report = signature_report(model, s)
+    assert calls == []
+    assert report.s_perp.as_tuple() == (2, rho - 1, 0)
 
 
 def test_search_report_shape():

@@ -484,3 +484,14 @@ def test_certified_radius_invariants():
         CertifiedRadius(1.0, Fraction(2), Fraction(1), 1e-9)
     with pytest.raises(CertificationError):
         CertifiedRadius(1.0, Fraction(1), Fraction(2), 1e-9)
+
+
+def test_radius_past_float_range_is_an_input_error():
+    # [[10^307]] still has a float value; past the float range the exact
+    # bracket exists but no float does, so the call refuses the input
+    near = spectral_radius([[10 ** 307]])
+    assert near.lo <= 10 ** 307 <= near.hi and near.value == 1e307
+    with pytest.raises(LatticeInputError, match="float range"):
+        spectral_radius([[10 ** 400]])
+    with pytest.raises(LatticeInputError, match="float range"):
+        spectral_radius([[0, 10 ** 400], [10 ** 400, 0]])
