@@ -18,8 +18,12 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def to_int_matrix(rows) -> IntMatrix:
+    if not isinstance(rows, (list, tuple)):
+        raise LatticeInputError("matrix must be a list of rows")
     out = []
     for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise LatticeInputError("matrix rows must be lists")
         cleaned = []
         for x in row:
             if isinstance(x, bool) or not isinstance(x, int):

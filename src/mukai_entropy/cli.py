@@ -103,19 +103,23 @@ def _dump_json(obj) -> str:
 
 
 def _load_json_arg(value: str):
-    """Inline JSON when the argument looks like a literal, else a file path."""
+    """Inline JSON when the argument looks like a literal, else a file path.
+
+    Nesting past the interpreter's recursion limit is an input error too.
+    """
     text = value.strip()
     if text.startswith("{") or text.startswith("["):
         try:
             return json.loads(text)
-        except ValueError as exc:  # also integers past the digit limit
+        # ValueError also covers integers past the digit limit
+        except (ValueError, RecursionError) as exc:
             raise LatticeInputError(f"bad inline JSON: {exc}") from exc
     try:
         with open(value, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise LatticeInputError(f"cannot read {value}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise LatticeInputError(f"bad JSON in {value}: {exc}") from exc
 
 
@@ -391,8 +395,12 @@ def main(argv=None) -> int:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return 4
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -270,7 +270,7 @@ def model_from_dict(data: dict) -> K3LatticeModel:
         raise LatticeInputError(
             "model JSON needs keys 'picard_rank' and 'ns_gram'"
         ) from exc
-    return K3LatticeModel(rho, tuple(tuple(row) for row in gram))
+    return K3LatticeModel(rho, gram)
 
 
 def vector_to_dict(v: MukaiVector) -> dict:

@@ -11,7 +11,9 @@ identities run backwards give its coefficients. Its squarefree part and
 Sturm chain come from integer pseudo-remainders reduced to primitive parts,
 and its top real root is bracketed by Sturm-chain bisection at rational
 points. Floating estimates only seed the bracket; every adopted bound is
-re-proved by an exact root count.
+re-proved by an exact root count. The seed is numpy's eigvals, and numpy is
+imported inside spectral_radius when it takes that seed: importing the package
+or running any other function does not load numpy.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import _linalg
 from .errors import CertificationError, LatticeInputError
@@ -288,6 +288,9 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
         raise CertificationError("no positive root located for the radius")
 
     # Optional float seed; adopted only if the exact counts confirm it.
+    # numpy is imported here, its one use, so that nothing else loads it.
+    import numpy as np
+
     try:
         est = float(max(abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
     except (OverflowError, np.linalg.LinAlgError, ValueError):

@@ -323,6 +323,44 @@ def test_file_inputs_and_output(tmp_path):
     assert code == 2
 
 
+def test_output_to_a_directory_exits_two(tmp_path):
+    code, out, err = run_cli(
+        "--output", str(tmp_path), "lattice-check", MODEL_D2
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_output_under_a_missing_directory_exits_two(tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli("--output", str(target), "lattice-check", MODEL_D2)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
+DEEP_LIST = "[" * 5000 + "]" * 5000
+
+
+def test_deeply_nested_inline_json_exits_two():
+    for argv in (
+        ("char-poly", "--matrix", DEEP_LIST),
+        ("lattice-check", DEEP_LIST),
+        ("pair", "--lattice", MODEL_D2, "--v", DEEP_LIST, "--w", SPHERE),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad inline JSON: ")
+
+
+def test_deeply_nested_json_file_exits_two(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_LIST)
+    code, out, err = run_cli("char-poly", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad JSON in {path}: ")
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         run_cli("no-such-command")
@@ -376,3 +414,7 @@ def test_non_integer_matrix_entries_are_input_errors():
     assert code == 2 and "integer" in err
     code, _, _ = run_cli("spectral-radius", "--matrix", '[[true]]')
     assert code == 2
+    code, _, err = run_cli("char-poly", "--matrix", "[1]")
+    assert code == 2 and "rows must be lists" in err
+    code, _, err = run_cli("lattice-check", '{"picard_rank":1,"ns_gram":null}')
+    assert code == 2 and "list of rows" in err
