@@ -10,11 +10,18 @@ diagonalization over Q for signatures.
 from __future__ import annotations
 
 import math
+import operator
+import reprlib
 from fractions import Fraction
 
 from .errors import LatticeInputError
 
 IntMatrix = tuple[tuple[int, ...], ...]
+
+# Error messages show at most about 60 characters of an offending value.
+_short = reprlib.Repr()
+_short.maxstring = _short.maxother = 60
+short_repr = _short.repr
 
 
 def to_int_matrix(rows) -> IntMatrix:
@@ -27,7 +34,8 @@ def to_int_matrix(rows) -> IntMatrix:
         cleaned = []
         for x in row:
             if isinstance(x, bool) or not isinstance(x, int):
-                raise LatticeInputError(f"matrix entries must be integers, got {x!r}")
+                raise LatticeInputError(
+                    f"matrix entries must be integers, got {short_repr(x)}")
             cleaned.append(x)
         out.append(tuple(cleaned))
     return tuple(out)
@@ -38,15 +46,14 @@ def identity(n: int) -> IntMatrix:
 
 
 def mat_mul(a, b) -> IntMatrix:
-    n, k, m = len(a), len(b), len(b[0])
+    cols = tuple(zip(*b))
     return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
+        tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a
     )
 
 
 def mat_vec(a, v) -> tuple[int, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+    return tuple(sum(map(operator.mul, row, v)) for row in a)
 
 
 def transpose(a) -> IntMatrix:

@@ -15,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
+from ._linalg import short_repr
 from .entropy import (
     ext_recursion_table,
     ext_top_dim,
@@ -135,7 +136,8 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise LatticeInputError(f"bad rational number {text!r}") from exc
+        raise LatticeInputError(
+            f"bad rational number {short_repr(text)}") from exc
 
 
 def _default_tolerance() -> float:
@@ -146,7 +148,7 @@ def _default_tolerance() -> float:
         tol = float(raw)
     except ValueError as exc:
         raise LatticeInputError(
-            f"{TOLERANCE_ENV} must be a float, got {raw!r}"
+            f"{TOLERANCE_ENV} must be a float, got {short_repr(raw)}"
         ) from exc
     if not tol > 0:
         raise LatticeInputError(f"{TOLERANCE_ENV} must be positive")

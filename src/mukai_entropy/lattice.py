@@ -21,7 +21,8 @@ from .errors import LatticeInputError
 
 def _as_int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise LatticeInputError(f"{what} must be an integer, got {x!r}")
+        raise LatticeInputError(
+            f"{what} must be an integer, got {_linalg.short_repr(x)}")
     return x
 
 

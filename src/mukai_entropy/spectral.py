@@ -1,5 +1,9 @@
 """Exact characteristic polynomials and certified spectral radii.
 
+Characteristic polynomials come from the power sums tr(A^k) by Newton's
+identities; the traces past A^ceil(n/2) are traces of products of two lower
+powers, so half the matrix products of Faddeev-LeVerrier are left out.
+
 The radius certificate never trusts floating point. The largest root modulus
 of an integer matrix equals the square root of the largest real root of the
 polynomial whose roots are all pairwise products of eigenvalues (a conjugate
@@ -8,17 +12,21 @@ squared radius). That polynomial is built in integers: the power sums s_k of
 the distinct eigenvalues come from Newton's identities, (s_k^2 + s_2k) / 2 are
 the power sums of the products mu_a * mu_b with a <= b, and Newton's
 identities run backwards give its coefficients. Its squarefree part and
-Sturm chain come from integer pseudo-remainders reduced to primitive parts,
-and its top real root is bracketed by Sturm-chain bisection at rational
-points. Floating estimates only seed the bracket; every adopted bound is
-re-proved by an exact root count. The seed is numpy's eigvals, and numpy is
-imported inside spectral_radius when it takes that seed: importing the package
-or running any other function does not load numpy.
+Sturm chain come from integer pseudo-remainders reduced to primitive parts.
+Its top real root is bracketed by bisection at rational points: Sturm counts
+decide each step only until the bracket holds that root alone, and from then
+on the sign of the polynomial at the midpoint does. Floating estimates only
+seed the bracket; every adopted bound is re-proved by an exact root count.
+The seed is numpy's eigvals, and numpy is imported inside spectral_radius
+when it takes that seed: importing the package or running any other function
+does not load numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,26 +86,33 @@ def _check_square_int(matrix) -> tuple[tuple[int, ...], ...]:
 def char_poly(matrix) -> CharPoly:
     """Exact characteristic polynomial of an integer matrix.
 
-    Faddeev-LeVerrier recursion; every division is exact and checked.
+    The power sums tr(A^k), k = 1..n, are traces of A^h A^(k-h) with
+    h = ceil(n/2), so only A^2..A^h are multiplied out (h - 1 products; a
+    trace of a product is n^2 multiplications). Newton's identities turn the
+    power sums into coefficients; every division is exact and checked.
     """
     a = _check_square_int(matrix)
     n = len(a)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = a
+    half = (n + 1) // 2
+    powers = [None, a]
+    for _ in range(half - 1):
+        powers.append(_linalg.mat_mul(powers[-1], a))
+    flat = itertools.chain.from_iterable
+    sums = [0] * (n + 1)
     for k in range(1, n + 1):
-        trace = sum(mk[i][i] for i in range(n))
-        if trace % k != 0:
-            raise AssertionError("Faddeev-LeVerrier division was not exact")
-        c = -(trace // k)
-        coeffs[n - k] = c
-        if k < n:
-            shifted = tuple(
-                tuple(mk[i][j] + (c if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-            mk = _linalg.mat_mul(a, shifted)
-    return CharPoly(tuple(coeffs))
+        if k <= half:
+            sums[k] = sum(powers[k][i][i] for i in range(n))
+        else:
+            # tr(X Y) is the entrywise product of X with Y transposed
+            sums[k] = sum(map(operator.mul, flat(powers[half]),
+                              flat(zip(*powers[k - half]))))
+    top = [1] + [0] * n  # top[k] is the coefficient of x^(n-k)
+    for k in range(1, n + 1):
+        acc = sum(top[k - i] * sums[i] for i in range(1, k + 1))
+        if acc % k:
+            raise AssertionError("Newton's identities gave a non-integer")
+        top[k] = -(acc // k)
+    return CharPoly(tuple(reversed(top)))
 
 
 # --- polynomial helpers ------------------------------------------------------
@@ -171,13 +186,13 @@ def _squarefree_part(p) -> list[int]:
     return out
 
 
-def _sign_at(poly, x: Fraction) -> int:
-    """Sign of an integer polynomial at a rational point, integer-only.
+def _sign_at(poly, u: int, w: int = 1) -> int:
+    """Sign of an integer polynomial at the rational point u / w, w > 0,
+    integer-only.
 
     Computes sum poly[k] * u^k * w^(n-k), which is p(u/w) scaled by the
     positive factor w^n.
     """
-    u, w = x.numerator, x.denominator
     n = len(poly) - 1
     acc = 0
     wp = 1
@@ -201,8 +216,8 @@ def _sturm_chain(p) -> list[list[int]]:
     return chain
 
 
-def _variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
+def _variations(chain, u: int, w: int = 1) -> int:
+    signs = [s for s in (_sign_at(p, u, w) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -244,16 +259,11 @@ def _pairwise_product_poly(q) -> list[int]:
     return out
 
 
-def _sqrt_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(x) < hi with hi - lo <= 2 / 2**bits."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    scale = 1 << bits
-    t = (x.numerator * scale * scale) // x.denominator
-    r = math.isqrt(t)
-    return Fraction(r, scale), Fraction(r + 1, scale)
+def _common_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """Numerators of x and y over their least common denominator q, and q."""
+    q = math.lcm(x.denominator, y.denominator)
+    return (x.numerator * (q // x.denominator),
+            y.numerator * (q // y.denominator), q)
 
 
 def spectral_radius(matrix, tolerance: float = 1e-9,
@@ -276,15 +286,16 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     s0 = _squarefree_part(_pairwise_product_poly(_squarefree_part(coeffs)))
     chain = _sturm_chain(s0)
     bound = 2 + max(abs(c) for c in s0)
-    v_top = _variations(chain, Fraction(bound))
+    v_top = _variations(chain, bound)
 
-    def count_above(x: Fraction) -> int:
-        return _variations(chain, x) - v_top
+    def count_above(u: int, w: int = 1) -> int:
+        return _variations(chain, u, w) - v_top
 
     tol = Fraction(tolerance)
     bits = max(24, int(math.ceil(math.log2(8.0 / tolerance))))
     lo2, hi2 = Fraction(0), Fraction(bound)
-    if count_above(lo2) < 1:
+    above_lo = count_above(0)
+    if above_lo < 1:
         raise CertificationError("no positive root located for the radius")
 
     # Optional float seed; adopted only if the exact counts confirm it.
@@ -303,18 +314,31 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
         hi_c = min(Fraction(bound), cand_hi * cand_hi)
         if (
             lo_c < hi_c
-            and _sign_at(s0, lo_c) != 0
-            and _sign_at(s0, hi_c) != 0
-            and count_above(hi_c) == 0
-            and count_above(lo_c) >= 1
+            and _sign_at(s0, *lo_c.as_integer_ratio()) != 0
+            and _sign_at(s0, *hi_c.as_integer_ratio()) != 0
+            and count_above(*hi_c.as_integer_ratio()) == 0
+            and (above_c := count_above(*lo_c.as_integer_ratio())) >= 1
         ):
-            lo2, hi2 = lo_c, hi_c
+            lo2, hi2, above_lo = lo_c, hi_c, above_c
 
+    # Bisection on the numerators lo, hi over a common denominator q. Always
+    # count_above(hi / q) == 0 and s0(hi / q) != 0. Once exactly one root
+    # lies above lo / q and s0(lo / q) != 0, that root is simple and is the
+    # only sign change of s0 in the bracket, so the sign of s0 at a midpoint
+    # tells which half holds it. lo_sign is the sign at lo / q from then on,
+    # and 0 while Sturm counts still decide.
+    lo, hi, q = _common_denominator(lo2, hi2)
+    lo_sign = _sign_at(s0, lo, q) if above_lo == 1 else 0
+    scale = 1 << bits
+    width = math.floor(tol * scale)
     steps = 0
     while True:
-        lo_root, _ = _sqrt_bounds(lo2, bits)
-        _, hi_root = _sqrt_bounds(hi2, bits)
-        if hi_root - lo_root <= tol:
+        # floor(sqrt(lo / q) * scale) and one more than floor(sqrt(hi / q) *
+        # scale) bound the square roots; hi > 0 throughout
+        r_lo = math.isqrt(lo * scale * scale // q)
+        r_hi = math.isqrt(hi * scale * scale // q) + 1
+        if r_hi - r_lo <= width:
+            lo_root, hi_root = Fraction(r_lo, scale), Fraction(r_hi, scale)
             mid = (lo_root + hi_root) / 2
             try:
                 value = float(mid)
@@ -331,21 +355,36 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
             raise CertificationError(
                 f"radius certification exceeded {max_steps} refinement steps"
             )
-        mid = (lo2 + hi2) / 2
-        if _sign_at(s0, mid) == 0:
+        if (lo + hi) % 2:
+            lo, hi, q = 2 * lo, 2 * hi, 2 * q
+        mid = (lo + hi) // 2
+        mid_sign = _sign_at(s0, mid, q)
+        if mid_sign == 0:
             # mid is exactly a pairwise product, hence a certified lower bound
-            off = (hi2 - mid) / 2
-            while _sign_at(s0, mid + off) == 0:
+            root = Fraction(mid, q)
+            off = (Fraction(hi, q) - root) / 2
+            while _sign_at(s0, *(root + off).as_integer_ratio()) == 0:
                 off /= 2
-            probe = mid + off
-            if count_above(probe) == 0:
-                lo2, hi2 = mid, probe
+            probe = root + off
+            if count_above(*probe.as_integer_ratio()) == 0:
+                lo2, hi2 = root, probe
             else:
-                lo2 = probe
-        elif count_above(mid) >= 1:
-            lo2 = mid
+                lo2, hi2 = probe, Fraction(hi, q)
+            lo, hi, q = _common_denominator(lo2, hi2)
+            lo_sign = 0
+        elif lo_sign:
+            if mid_sign == lo_sign:
+                lo = mid
+            else:
+                hi = mid
         else:
-            hi2 = mid
+            above = count_above(mid, q)
+            if above >= 1:
+                lo = mid
+                if above == 1:
+                    lo_sign = mid_sign
+            else:
+                hi = mid
 
 
 # --- exact quadratic surds ---------------------------------------------------

@@ -544,3 +544,147 @@ def random_vector(rng: random.Random, model: K3LatticeModel,
 
 def is_square_int(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+# --- the parent routines of the radius hot path, kept as oracles ------------
+
+def oracle_mat_mul(a, b):
+    """Matrix product by the plain index triple loop."""
+    n, k, m = len(a), len(b), len(b[0])
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
+        for i in range(n)
+    )
+
+
+def oracle_mat_vec(a, v):
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+
+
+def oracle_char_poly(matrix) -> list[int]:
+    """Faddeev-LeVerrier recursion, n - 1 matrix products, ascending."""
+    a = _linalg.to_int_matrix(matrix)
+    n = len(a)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    mk = a
+    for k in range(1, n + 1):
+        trace = sum(mk[i][i] for i in range(n))
+        if trace % k != 0:
+            raise AssertionError("Faddeev-LeVerrier division was not exact")
+        c = -(trace // k)
+        coeffs[n - k] = c
+        if k < n:
+            shifted = tuple(
+                tuple(mk[i][j] + (c if i == j else 0) for j in range(n))
+                for i in range(n)
+            )
+            mk = oracle_mat_mul(a, shifted)
+    return coeffs
+
+
+def _oracle_sign_at(poly, x: Fraction) -> int:
+    u, w = x.numerator, x.denominator
+    n = len(poly) - 1
+    acc = 0
+    wp = 1
+    for k in range(n, -1, -1):
+        acc = acc * u + poly[k] * wp
+        wp *= w
+    return (acc > 0) - (acc < 0)
+
+
+def _oracle_variations(chain, x: Fraction) -> int:
+    signs = [s for s in (_oracle_sign_at(p, x) for p in chain) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _oracle_sqrt_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    if x < 0:
+        raise ValueError("negative radicand")
+    if x == 0:
+        return Fraction(0), Fraction(0)
+    scale = 1 << bits
+    t = (x.numerator * scale * scale) // x.denominator
+    r = math.isqrt(t)
+    return Fraction(r, scale), Fraction(r + 1, scale)
+
+
+def oracle_spectral_radius(matrix, tolerance: float = 1e-9,
+                           max_steps: int = 10 ** 6) -> tuple:
+    """(lo, hi, value) of the radius certificate with a Sturm count at every
+    bisection step over Fraction endpoints, from the Faddeev-LeVerrier
+    char poly. Shares the float seed and the s0 polynomial with the package;
+    the bisection is recomputed."""
+    from mukai_entropy.spectral import (
+        _pairwise_product_poly,
+        _squarefree_part,
+        _sturm_chain,
+    )
+    import numpy as np
+
+    rows = _linalg.to_int_matrix(matrix)
+    coeffs = oracle_char_poly(rows)
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    if len(coeffs) == 1:
+        return Fraction(0), Fraction(0), 0.0
+    s0 = _squarefree_part(_pairwise_product_poly(_squarefree_part(coeffs)))
+    chain = _sturm_chain(s0)
+    bound = 2 + max(abs(c) for c in s0)
+    v_top = _oracle_variations(chain, Fraction(bound))
+
+    def count_above(x: Fraction) -> int:
+        return _oracle_variations(chain, x) - v_top
+
+    tol = Fraction(tolerance)
+    bits = max(24, int(math.ceil(math.log2(8.0 / tolerance))))
+    lo2, hi2 = Fraction(0), Fraction(bound)
+    if count_above(lo2) < 1:
+        raise AssertionError("no positive root located for the radius")
+    try:
+        est = float(max(abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
+    except (OverflowError, np.linalg.LinAlgError, ValueError):
+        est = 0.0
+    if est > 0:
+        margin = Fraction(1, 1000)
+        cand_lo = Fraction(est) * (1 - margin)
+        cand_hi = Fraction(est) * (1 + margin)
+        lo_c = max(Fraction(0), cand_lo * cand_lo)
+        hi_c = min(Fraction(bound), cand_hi * cand_hi)
+        if (
+            lo_c < hi_c
+            and _oracle_sign_at(s0, lo_c) != 0
+            and _oracle_sign_at(s0, hi_c) != 0
+            and count_above(hi_c) == 0
+            and count_above(lo_c) >= 1
+        ):
+            lo2, hi2 = lo_c, hi_c
+
+    steps = 0
+    while True:
+        lo_root, _ = _oracle_sqrt_bounds(lo2, bits)
+        _, hi_root = _oracle_sqrt_bounds(hi2, bits)
+        if hi_root - lo_root <= tol:
+            mid = (lo_root + hi_root) / 2
+            value = float(mid)
+            if not (lo_root <= Fraction(value) <= hi_root):
+                value = float(lo_root)
+            return lo_root, hi_root, value
+        steps += 1
+        if steps > max_steps:
+            raise AssertionError("oracle bisection ran out of steps")
+        mid = (lo2 + hi2) / 2
+        if _oracle_sign_at(s0, mid) == 0:
+            off = (hi2 - mid) / 2
+            while _oracle_sign_at(s0, mid + off) == 0:
+                off /= 2
+            probe = mid + off
+            if count_above(probe) == 0:
+                lo2, hi2 = mid, probe
+            else:
+                lo2 = probe
+        elif count_above(mid) >= 1:
+            lo2 = mid
+        else:
+            hi2 = mid

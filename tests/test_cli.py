@@ -361,6 +361,25 @@ def test_deeply_nested_json_file_exits_two(tmp_path):
     assert err.startswith(f"error: bad JSON in {path}: ")
 
 
+def test_non_integer_entry_error_shows_a_short_value():
+    # a non-integer entry is named in the message, cut to a few characters
+    deep = "[" * 900 + "1" + "]" * 900
+    for argv in (
+        ("char-poly", "--matrix", f"[[{deep}]]"),
+        ("lattice-check", '{"picard_rank":1,"ns_gram":[[%s]]}' % deep),
+        ("pair", "--lattice", MODEL_D2, "--v",
+         '{"r":%s,"c":[0],"m":1}' % deep, "--w", SPHERE),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert "must be" in err and "integer" in err
+        assert err.count("\n") == 1 and len(err) < 200
+    code, _, err = run_cli(
+        "entropy-curve", "--spherical-dim", "2", "--complement", "yes",
+        "--t-min", "-2", "--t-max", "2", "--step", "x" * 5000)
+    assert code == 2 and "bad rational number" in err and len(err) < 200
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         run_cli("no-such-command")

@@ -8,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     cofactor_char_poly,
     fraction_det,
+    oracle_char_poly,
+    oracle_mat_mul,
+    oracle_mat_vec,
     oracle_root_product_poly,
+    oracle_spectral_radius,
     oracle_squarefree_part,
     oracle_sturm_chain,
     poly_apply_matrix,
@@ -16,6 +20,7 @@ from helpers import (
     random_k3_model,
     random_spherical,
 )
+from mukai_entropy import _linalg, spectral
 from mukai_entropy.errors import CertificationError, LatticeInputError
 from mukai_entropy.spectral import (
     CertifiedRadius,
@@ -495,3 +500,155 @@ def test_radius_past_float_range_is_an_input_error():
         spectral_radius([[10 ** 400]])
     with pytest.raises(LatticeInputError, match="float range"):
         spectral_radius([[0, 10 ** 400], [10 ** 400, 0]])
+
+
+# --- the radius hot path against the parent routines --------------------------
+
+@st.composite
+def _char_poly_matrices(draw):
+    """Square integer matrices of rank 1-22: plain, singular (a repeated
+    row), nilpotent (strictly upper triangular, then sheared off the
+    triangle by a unimodular conjugation) or zero."""
+    shape = draw(st.sampled_from(("plain", "singular", "nilpotent", "zero")))
+    n = draw(st.integers(1, 22))
+    entries = st.integers(-3, 3)
+    mat = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if shape == "singular" and n > 1:
+        mat[draw(st.integers(1, n - 1))] = list(mat[0])
+    elif shape == "nilpotent":
+        mat = [[x if j > i else 0 for j, x in enumerate(row)]
+               for i, row in enumerate(mat)]
+        if n > 1:
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            c = draw(st.sampled_from((-1, 1)))
+            if i != j:
+                shear = [[int(r == s) for s in range(n)] for r in range(n)]
+                back = [list(row) for row in shear]
+                shear[i][j], back[i][j] = c, -c
+                mat = oracle_mat_mul(oracle_mat_mul(shear, mat), back)
+    elif shape == "zero":
+        mat = [[0] * n for _ in range(n)]
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(_char_poly_matrices())
+def test_char_poly_matches_faddeev_leverrier(mat):
+    assert list(char_poly(mat).coeffs) == oracle_char_poly(mat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 10 ** 6))
+def test_mat_mul_and_mat_vec_match_index_loops(n, k, m, seed):
+    rng = random.Random(seed)
+    big = rng.choice((3, 10 ** 30))
+    a = [[rng.randint(-big, big) for _ in range(k)] for _ in range(n)]
+    b = [[rng.randint(-big, big) for _ in range(m)] for _ in range(k)]
+    v = [rng.randint(-big, big) for _ in range(k)]
+    assert _linalg.mat_mul(a, b) == oracle_mat_mul(a, b)
+    assert _linalg.mat_vec(a, v) == oracle_mat_vec(a, v)
+
+
+def _no_eigvals(*args, **kwargs):
+    import numpy as np
+
+    raise np.linalg.LinAlgError("forced")
+
+
+def _radius_and_oracle(mat, tol, seeded):
+    """(lo, hi, repr(value)) from the package and from the parent routines,
+    with numpy's eigvals seed or without it."""
+    import numpy as np
+
+    with pytest.MonkeyPatch.context() as mp:
+        if not seeded:
+            mp.setattr(np.linalg, "eigvals", _no_eigvals)
+        rad = spectral_radius(mat, tol)
+        lo, hi, value = oracle_spectral_radius(mat, tol)
+    return (rad.lo, rad.hi, repr(rad.value)), (lo, hi, repr(value))
+
+
+_TOLS = st.sampled_from((1e-3, 1e-9, 1e-12))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 6),
+       st.booleans(), _TOLS)
+def test_twist_word_radius_matches_parent_bisection(rho, length, seed,
+                                                    seeded, tol):
+    # Mukai rank rho + 2 = 3..8
+    from mukai_entropy.isometries import compose, spherical_twist_action
+
+    rng = random.Random(seed)
+    model = random_k3_model(rng, rho, entry_bound=6)
+    action = spherical_twist_action(model, random_spherical(rng, model, 1))
+    for _ in range(length - 1):
+        action = compose(
+            action, spherical_twist_action(model, random_spherical(rng, model, 1))
+        )
+    new, oracle = _radius_and_oracle(action.matrix, tol, seeded)
+    assert new == oracle
+
+
+@settings(max_examples=80, deadline=None)
+@given(_integer_matrices(), st.booleans(), _TOLS)
+def test_random_matrix_radius_matches_parent_bisection(mat, seeded, tol):
+    new, oracle = _radius_and_oracle(mat, tol, seeded)
+    assert new == oracle
+
+
+@pytest.mark.parametrize("mat, seeded", [
+    # the adopted bracket holds 3 roots of s0, so Sturm counts decide first
+    ([[2000, 0], [0, 1999]], True),
+    ([[2000, 0], [0, 1999]], False),
+    # without the seed a midpoint hits the root 4 of s0 exactly
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 1]], False),
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 1]], True),
+    ([[4]], True),
+    ([[4]], False),
+    ([[1, 1], [0, 1]], True),
+    ([[1, 1], [0, 1]], False),
+])
+def test_radius_edge_cases_match_parent_bisection(mat, seeded):
+    new, oracle = _radius_and_oracle(mat, 1e-9, seeded)
+    assert new == oracle
+    if mat == [[2, 0, 0], [0, 2, 0], [0, 0, 1]] and not seeded:
+        assert new[0] == 2
+
+
+def test_isolated_bracket_needs_no_sturm_counts_per_step(monkeypatch):
+    # once the adopted bracket isolates the top root, a bisection step is
+    # one sign evaluation: the Sturm counts do not grow with the steps
+    calls = []
+    real = spectral._variations
+
+    def counting(chain, *point):
+        calls.append(point)
+        return real(chain, *point)
+
+    monkeypatch.setattr(spectral, "_variations", counting)
+    for mat in (family_matrix(5), _pinned_cases()["word_12_twists_rank6"],
+                _pinned_cases()["phi_H_d100_rank8"]):
+        counts = []
+        for tol in (1e-6, 1e-12):
+            calls.clear()
+            spectral_radius(mat, tol)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
+def test_char_poly_multiplies_half_the_powers(monkeypatch):
+    calls = []
+    real = _linalg.mat_mul
+
+    def counting(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(_linalg, "mat_mul", counting)
+    rng = random.Random(8)
+    for n in range(1, 23):
+        calls.clear()
+        char_poly([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        assert len(calls) == math.ceil(n / 2) - 1
