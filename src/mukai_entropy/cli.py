@@ -57,7 +57,7 @@ TOLERANCE_ENV = "MUKAI_ENTROPY_TOL"
 # tabulated
 MAX_CURVE_ROWS = 100_000
 # gy-gap refuses d past this: radius_closed_form trial-divides d^2 - 4d to
-# its cube root; a row near the cap takes up to about 2 ms
+# at most its cube root; a row near the cap takes up to about 1 ms
 MAX_GY_D = 10 ** 6
 
 

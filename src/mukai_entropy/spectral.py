@@ -392,41 +392,38 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
 def _square_part(n: int) -> tuple[int, int]:
     """Write n = f*f * rest with rest squarefree; returns (f, rest).
 
-    Trial division strips squares of primes up to the cube root; whatever
-    square factor survives is a single prime square with a cofactor below
-    the cube root, which the divisor scan finds.
+    One trial-division pass divides out each prime p it finds. Once p passes
+    the cube root of what is left, that has no prime factor below p, so it
+    is 1, a prime, a product of two primes or a prime square, and one isqrt
+    settles it. Up to about n^(1/3) / 2 steps, fewer past small factors.
     """
-    f = 1
+    f = core = 1
     rest = n
     p = 2
     while p * p * p <= rest:
-        while rest % (p * p) == 0:
-            rest //= p * p
-            f *= p
+        if rest % p == 0:
+            k = 0
+            while rest % p == 0:
+                rest //= p
+                k += 1
+            f *= p ** (k // 2)
+            core *= p ** (k % 2)
         p += 1 if p == 2 else 2
-    r = math.isqrt(rest)
-    if r * r == rest:
-        return f * r, 1
-    b = 2
-    while b * b * b <= rest:
-        if rest % b == 0:
-            q = rest // b
-            s = math.isqrt(q)
-            if s * s == q:
-                return f * s, b
-        b += 1
-    return f, rest
+    s = math.isqrt(rest)
+    if s * s == rest:
+        return f * s, core
+    return f, core * rest
 
 
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Exact real number a + b*sqrt(root) with rational a, b.
 
-    Canonical form: square factors are pulled out of the root by trial
-    division up to its cube root (up to about root^(1/3) steps per
-    construction), and a rational value is stored with b == 0, root == 0.
-    Supports exact sign computation and comparison against rationals, which
-    is what certified inequalities need.
+    Canonical form: square factors are pulled out of the int root by one
+    trial-division pass (up to about root^(1/3) / 2 steps per construction),
+    and a rational value is stored with b == 0, root == 0. Supports exact
+    sign computation and comparison against rationals, which is what
+    certified inequalities need.
     """
 
     a: Fraction
@@ -434,15 +431,15 @@ class QuadraticSurd:
     root: int
 
     def __post_init__(self):
-        a = Fraction(self.a)
-        b = Fraction(self.b)
-        root = int(self.root)
-        if root < 0:
-            raise LatticeInputError("surd root must be non-negative")
+        a = self.a if type(self.a) is Fraction else Fraction(self.a)
+        b = self.b if type(self.b) is Fraction else Fraction(self.b)
+        root = self.root
+        if isinstance(root, bool) or not isinstance(root, int) or root < 0:
+            raise LatticeInputError("surd root must be a non-negative integer")
         if b != 0 and root > 1:
-            f, rest = _square_part(root)
-            b *= f
-            root = rest
+            f, root = _square_part(root)
+            if f > 1:
+                b *= f
         if root in (0, 1) and b != 0:
             a += b
             b = Fraction(0)
@@ -536,8 +533,8 @@ def radius_closed_form(d: int) -> QuadraticSurd:
     """Exact spectral radius of the twist-tensor family at polarization degree d.
 
     Equals 1 for d <= 4 and (d - 2 + sqrt(d^2 - 4d)) / 2 for d >= 5. The
-    canonical surd trial-divides d^2 - 4d up to its cube root: the time grows
-    like sqrt(d) at d = p^2 (p prime) and like d^(2/3) at prime d.
+    canonical surd takes time growing like sqrt(d) at d = p^2 with p and
+    p + 2 prime, and like d^(2/3) when d and d - 4 are both prime.
     """
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise LatticeInputError("d must be a positive integer")

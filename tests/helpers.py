@@ -688,3 +688,57 @@ def oracle_spectral_radius(matrix, tolerance: float = 1e-9,
             lo2 = mid
         else:
             hi2 = mid
+
+
+# --- the two-scan canonical surd, kept as an oracle --------------------------
+
+def oracle_square_part(n: int) -> tuple[int, int]:
+    """Write n = f*f * rest with rest squarefree; returns (f, rest).
+
+    Trial division strips squares of primes up to the cube root; whatever
+    square factor survives is a single prime square with a cofactor below
+    the cube root, which the divisor scan finds.
+    """
+    f = 1
+    rest = n
+    p = 2
+    while p * p * p <= rest:
+        while rest % (p * p) == 0:
+            rest //= p * p
+            f *= p
+        p += 1 if p == 2 else 2
+    r = math.isqrt(rest)
+    if r * r == rest:
+        return f * r, 1
+    b = 2
+    while b * b * b <= rest:
+        if rest % b == 0:
+            q = rest // b
+            s = math.isqrt(q)
+            if s * s == q:
+                return f * s, b
+        b += 1
+    return f, rest
+
+
+def oracle_surd_parts(a, b, root: int) -> tuple[Fraction, Fraction, int]:
+    """Canonical (a, b, root) of a + b*sqrt(root) through oracle_square_part,
+    rewrapping a and b and always scaling b."""
+    a, b = Fraction(a), Fraction(b)
+    if b != 0 and root > 1:
+        f, root = oracle_square_part(root)
+        b *= f
+    if root in (0, 1) and b != 0:
+        a += b
+        b = Fraction(0)
+    if b == 0:
+        root = 0
+    return a, b, root
+
+
+def oracle_radius_parts(d: int) -> tuple[Fraction, Fraction, int]:
+    """Canonical parts of the twist-tensor radius (d - 2 + sqrt(d^2 - 4d)) / 2,
+    1 for d <= 4."""
+    if d <= 4:
+        return Fraction(1), Fraction(0), 0
+    return oracle_surd_parts(Fraction(d - 2, 2), Fraction(1, 2), d * d - 4 * d)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_iterated_chi
+from helpers import oracle_iterated_chi, oracle_radius_parts
 from mukai_entropy import entropy
 from mukai_entropy.entropy import (
     CurvePiece,
@@ -242,6 +243,25 @@ def test_gap_certificate_agrees_with_surd_comparison():
     # the integer test m < (d + 6)^2 against the exact surd comparison
     for d in [*range(1, 600), 997_001, 10 ** 6]:
         assert gy_gap(d).certified == (radius_closed_form(d) < d + 2) is True
+
+
+def test_radius_and_gap_bytes_match_the_two_scan_oracle():
+    # the bytes bench/golden.json digests: str and float of the closed form,
+    # and every gy_gap field, rebuilt from the two-scan square part
+    for d in range(1, 3001):
+        a, b, root = oracle_radius_parts(d)
+        text = str(a) if b == 0 else f"{a} + {b}*sqrt({root})"
+        value = float(a) + float(b) * math.sqrt(root)
+        exact = radius_closed_form(d)
+        assert (str(exact), repr(float(exact))) == (text, repr(value))
+        lower = math.log(d + 2)
+        log_rho = math.log(value)
+        # radius < d + 2 exactly; b >= 0, so square both sides when room > 0
+        room = d + 2 - a
+        certified = room > 0 and b * b * root < room * room
+        expected = (d, lower, log_rho, lower - log_rho, certified)
+        assert list(map(repr, dataclasses.astuple(gy_gap(d)))) == \
+            list(map(repr, expected))
 
 
 def test_gap_certified_for_sample_degrees():

@@ -13,7 +13,9 @@ from helpers import (
     oracle_mat_vec,
     oracle_root_product_poly,
     oracle_spectral_radius,
+    oracle_square_part,
     oracle_squarefree_part,
+    oracle_surd_parts,
     oracle_sturm_chain,
     poly_apply_matrix,
     poly_mul,
@@ -191,6 +193,70 @@ def test_surd_canonicalization_and_sign():
     assert QuadraticSurd(Fraction(1), Fraction(1), 2) < Fraction(5, 2)
     with pytest.raises(LatticeInputError):
         QuadraticSurd(Fraction(0), Fraction(1), -2)
+
+
+@pytest.mark.parametrize("root", [2.5, "8", True, float("nan")],
+                         ids=["float", "str", "bool", "nan"])
+def test_surd_root_must_be_a_non_negative_int(root):
+    # int() used to turn 2.5 into sqrt(2) and '8' into 2*sqrt(2)
+    with pytest.raises(LatticeInputError,
+                       match="surd root must be a non-negative integer"):
+        QuadraticSurd(0, 1, root)
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def _next_prime(n: int) -> int:
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+def _is_squarefree(n: int) -> bool:
+    return all(n % (k * k) for k in range(2, math.isqrt(n) + 1))
+
+
+SQUARE_PART_INPUTS = st.one_of(
+    st.sampled_from([0, 1]),
+    st.integers(0, 10 ** 15),
+    # a prime square past the cube root times a small squarefree cofactor:
+    # the case the last isqrt of the one pass settles
+    st.builds(lambda p, c: p * p * c,
+              st.integers(1000, 10 ** 6).map(_next_prime),
+              st.integers(1, 999).filter(_is_squarefree)),
+    st.integers(2, 10 ** 6).map(_next_prime).map(lambda p: p * p),
+    st.integers(0, 10 ** 7).map(lambda k: k * k),
+    st.integers(5, 10 ** 4).map(lambda d: d * d - 4 * d),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=SQUARE_PART_INPUTS)
+def test_square_part_matches_the_two_scan_oracle(n):
+    assert spectral._square_part(n) == oracle_square_part(n)
+
+
+def test_square_part_brute_force_below_ten_to_the_five():
+    limit = 10 ** 5
+    squarefree = [n > 0 for n in range(limit)]
+    for k in range(2, math.isqrt(limit - 1) + 1):
+        for m in range(k * k, limit, k * k):
+            squarefree[m] = False
+    for n in range(limit):
+        f, rest = spectral._square_part(n)
+        assert f * f * rest == n and squarefree[rest], n
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.one_of(st.integers(-50, 50), st.fractions(max_denominator=20)),
+       b=st.one_of(st.integers(-50, 50), st.fractions(max_denominator=20)),
+       root=st.integers(0, 10 ** 9))
+def test_surd_parts_match_the_oracle_constructor(a, b, root):
+    s = QuadraticSurd(a, b, root)
+    assert (s.a, s.b, s.root) == oracle_surd_parts(a, b, root)
+    assert all(type(x) is Fraction for x in (s.a, s.b))
 
 
 def test_surd_arithmetic_mixed_roots():
