@@ -3,16 +3,17 @@
 Everything works on plain nested sequences of Python ints, so there is no
 rounding anywhere. Every question about integer spans (kernels, membership,
 primitivity, inverses of unimodular matrices) goes through one unimodular
-column reduction; `inertia` is the only other elimination, a congruence
-diagonalization over Q for signatures.
+column reduction, the only elimination here. Characteristic polynomials come
+from power sums by Newton's identities, and signatures from the signs of
+their coefficients.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import reprlib
-from fractions import Fraction
 
 from .errors import LatticeInputError
 
@@ -155,45 +156,54 @@ def span_coordinates(columns, targets) -> list[tuple[int, ...] | None]:
     return out
 
 
+def monic_from_power_sums(sums) -> list[int]:
+    """Ascending coefficients of the monic polynomial whose roots have power
+    sums sums[1..n] (sums[0] is unused), by Newton's identities; step k
+    divides by k, and a division that is not exact raises."""
+    n = len(sums) - 1
+    top = [1] + [0] * n  # top[k] is the coefficient of x^(n-k)
+    for k in range(1, n + 1):
+        acc = sum(top[k - i] * sums[i] for i in range(1, k + 1))
+        if acc % k:
+            raise AssertionError("Newton's identities gave a non-integer")
+        top[k] = -(acc // k)
+    return top[::-1]
+
+
+def char_poly_coeffs(a) -> list[int]:
+    """Ascending characteristic polynomial of a square integer matrix.
+
+    The power sums tr(A^k), k = 1..n, are traces of A^h A^(k-h) with
+    h = ceil(n/2), so only A^2..A^h are multiplied out (h - 1 products; a
+    trace of a product is n^2 multiplications).
+    """
+    n = len(a)
+    half = (n + 1) // 2
+    powers = [None, a]
+    for _ in range(half - 1):
+        powers.append(mat_mul(powers[-1], a))
+    flat = itertools.chain.from_iterable
+    sums = [0] * (n + 1)
+    for k in range(1, n + 1):
+        if k <= half:
+            sums[k] = sum(powers[k][i][i] for i in range(n))
+        else:
+            # tr(X Y) is the entrywise product of X with Y transposed
+            sums[k] = sum(map(operator.mul, flat(powers[half]),
+                              flat(zip(*powers[k - half]))))
+    return monic_from_power_sums(sums)
+
+
 def inertia(gram) -> tuple[int, int, int]:
     """Counts of positive, negative and zero squares of a symmetric form.
 
-    Congruence diagonalization over Q; Sylvester's law makes the counts
-    independent of the elimination choices.
+    gram must be symmetric (callers check it), so every eigenvalue is real
+    and Descartes' rule of signs on the characteristic polynomial is exact:
+    sign changes among the nonzero coefficients count the positive ones,
+    vanishing low coefficients the zero ones, and the rest are negative.
     """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    plus = minus = zero = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            piv = next((t for t in range(i + 1, n) if a[t][t] != 0), None)
-            if piv is None:
-                pair = next(((t, u) for t in range(i, n)
-                             for u in range(t + 1, n) if a[t][u] != 0), None)
-                if pair is None:
-                    zero += n - i
-                    break
-                t, u = pair
-                # both diagonals vanish here, so this makes a[t][t] = 2 a[t][u]
-                for j in range(n):
-                    a[t][j] += a[u][j]
-                for j in range(n):
-                    a[j][t] += a[j][u]
-                piv = t
-            if piv != i:
-                a[i], a[piv] = a[piv], a[i]
-                for j in range(n):
-                    a[j][i], a[j][piv] = a[j][piv], a[j][i]
-        p = a[i][i]
-        if p > 0:
-            plus += 1
-        else:
-            minus += 1
-        for j in range(i + 1, n):
-            if a[j][i] != 0:
-                f = a[j][i] / p
-                for col in range(i, n):
-                    a[j][col] -= f * a[i][col]
-                for row in range(i, n):
-                    a[row][j] -= f * a[row][i]
-    return plus, minus, zero
+    coeffs = char_poly_coeffs(gram)
+    zero = next(i for i, c in enumerate(coeffs) if c)
+    signs = [c > 0 for c in coeffs if c]
+    plus = sum(map(operator.ne, signs, signs[1:]))
+    return plus, len(gram) - plus - zero, zero

@@ -65,6 +65,11 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _int_digit_limit() -> int:
+    # 0 is no limit, as on Python 3.10 before 3.10.7, which lacks the call
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _fmt_exact(x) -> str:
     """str of an int or Fraction; past the interpreter's int-to-str digit
     limit (kept: it guards against quadratic-time conversion) an input error.
@@ -73,7 +78,7 @@ def _fmt_exact(x) -> str:
         return str(x)
     except ValueError as exc:
         raise LatticeInputError(
-            f"result has more than {sys.get_int_max_str_digits()} digits"
+            f"result has more than {_int_digit_limit()} digits"
         ) from exc
 
 
@@ -133,6 +138,16 @@ def _load_vector(value: str):
 
 
 def _parse_fraction(text: str) -> Fraction:
+    # Fraction builds 10**e for an exponent e, so one past the digit limit
+    # is refused first; a malformed exponent is left to Fraction to refuse
+    limit = _int_digit_limit()
+    try:
+        too_big = limit and abs(int(text.lower().partition("e")[2])) > limit
+    except ValueError:
+        too_big = False
+    if too_big:
+        raise LatticeInputError(
+            f"bad rational number {short_repr(text)}: exponent over {limit}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -260,9 +275,7 @@ def _cmd_entropy_curve(args) -> str:
     n_rows = (t_max - t_min) // step + 1
     if n_rows > MAX_CURVE_ROWS:
         raise LatticeInputError(
-            f"grid has {n_rows} rows, more than {MAX_CURVE_ROWS}; "
-            f"raise --step"
-        )
+            f"grid has more than {MAX_CURVE_ROWS} rows; raise --step")
     rows = []
     for k in range(n_rows):
         t = t_min + k * step
@@ -277,8 +290,7 @@ def _cmd_entropy_curve(args) -> str:
 
 def _cmd_ext_recursion(args) -> str:
     d, i, k, n_max = args.d, args.i, args.k, args.n_max
-    # 0 is no limit, as on Python 3.10 before 3.10.7, which lacks the call
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_digit_limit()
     if limit and min(d, i, k, n_max + 1) >= 1:
         # Refused before any row is built: row n_max's top dimension
         # h0(i+1) h0(1)^(n_max-1) h0(k) has more than limit digits from

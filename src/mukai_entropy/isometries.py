@@ -17,7 +17,6 @@ from .lattice import (
     MukaiVector,
     _as_int,
     is_spherical_class,
-    mukai_pairing,
     ns_product,
     square,
     structure_sheaf_vector,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import _linalg
 from .errors import LatticeInputError
@@ -175,7 +174,8 @@ def is_spherical_class(model: K3LatticeModel, v: MukaiVector) -> bool:
 
 
 def signature_of(gram) -> Signature:
-    """Signature of any symmetric integer matrix, degenerate ones included."""
+    """Signature of any symmetric integer matrix, degenerate ones included,
+    read off the signs of its exact characteristic polynomial."""
     rows = _linalg.to_int_matrix(gram)
     if rows and not _linalg.is_square_symmetric(rows):
         raise LatticeInputError("signature_of needs a square symmetric matrix")

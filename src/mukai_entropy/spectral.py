@@ -24,9 +24,7 @@ does not load numpy.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,35 +82,8 @@ def _check_square_int(matrix) -> tuple[tuple[int, ...], ...]:
 
 
 def char_poly(matrix) -> CharPoly:
-    """Exact characteristic polynomial of an integer matrix.
-
-    The power sums tr(A^k), k = 1..n, are traces of A^h A^(k-h) with
-    h = ceil(n/2), so only A^2..A^h are multiplied out (h - 1 products; a
-    trace of a product is n^2 multiplications). Newton's identities turn the
-    power sums into coefficients; every division is exact and checked.
-    """
-    a = _check_square_int(matrix)
-    n = len(a)
-    half = (n + 1) // 2
-    powers = [None, a]
-    for _ in range(half - 1):
-        powers.append(_linalg.mat_mul(powers[-1], a))
-    flat = itertools.chain.from_iterable
-    sums = [0] * (n + 1)
-    for k in range(1, n + 1):
-        if k <= half:
-            sums[k] = sum(powers[k][i][i] for i in range(n))
-        else:
-            # tr(X Y) is the entrywise product of X with Y transposed
-            sums[k] = sum(map(operator.mul, flat(powers[half]),
-                              flat(zip(*powers[k - half]))))
-    top = [1] + [0] * n  # top[k] is the coefficient of x^(n-k)
-    for k in range(1, n + 1):
-        acc = sum(top[k - i] * sums[i] for i in range(1, k + 1))
-        if acc % k:
-            raise AssertionError("Newton's identities gave a non-integer")
-        top[k] = -(acc // k)
-    return CharPoly(tuple(reversed(top)))
+    """Exact characteristic polynomial of a square integer matrix."""
+    return CharPoly(tuple(_linalg.char_poly_coeffs(_check_square_int(matrix))))
 
 
 # --- polynomial helpers ------------------------------------------------------
@@ -247,16 +218,10 @@ def _pairwise_product_poly(q) -> list[int]:
     n = len(q) - 1
     deg = n * (n + 1) // 2
     s = _power_sums(q, 2 * deg)
-    sums = [0] * (deg + 1)
-    out = [0] * deg + [1]
-    for k in range(1, deg + 1):
-        twice = s[k] * s[k] + s[2 * k]
-        sums[k] = twice // 2
-        acc = sums[k] + sum(out[deg - i] * sums[k - i] for i in range(1, k))
-        if twice % 2 or acc % k:
-            raise AssertionError("Newton's identities gave a non-integer")
-        out[deg - k] = -(acc // k)
-    return out
+    twice = [s[k] * s[k] + s[2 * k] for k in range(deg + 1)]
+    if any(t % 2 for t in twice):
+        raise AssertionError("Newton's identities gave a non-integer")
+    return _linalg.monic_from_power_sums([t // 2 for t in twice])
 
 
 def _common_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
@@ -292,7 +257,8 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
         return _variations(chain, u, w) - v_top
 
     tol = Fraction(tolerance)
-    bits = max(24, int(math.ceil(math.log2(8.0 / tolerance))))
+    # log2(8 / tolerance), but 8 / tolerance overflows below about 4.5e-308
+    bits = max(24, math.ceil(3 - math.log2(tolerance)))
     lo2, hi2 = Fraction(0), Fraction(bound)
     above_lo = count_above(0)
     if above_lo < 1:

@@ -1,8 +1,9 @@
 """Shared oracles and random generators for the test suite.
 
 Oracles deliberately recompute through routes independent of the code they
-check: pairings by explicit double loops, signatures by Descartes counts on
-the characteristic polynomial, lattice membership by exact rational solves.
+check: pairings by explicit double loops, signatures by a congruence
+diagonalization over Q and by Descartes counts on the Faddeev-LeVerrier
+characteristic polynomial, lattice membership by exact rational solves.
 """
 
 from __future__ import annotations
@@ -63,9 +64,7 @@ def oracle_signature_by_descartes(gram) -> tuple[int, int, int]:
     negative count those of p(-x); trailing zero coefficients count the
     kernel.
     """
-    from mukai_entropy.spectral import char_poly
-
-    coeffs = list(char_poly(gram).coeffs)
+    coeffs = oracle_char_poly(gram)
     zero = 0
     while coeffs[0] == 0:
         coeffs.pop(0)
@@ -75,6 +74,50 @@ def oracle_signature_by_descartes(gram) -> tuple[int, int, int]:
         return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
     plus = variations(coeffs)
     minus = variations([c if i % 2 == 0 else -c for i, c in enumerate(coeffs)])
+    return plus, minus, zero
+
+
+def oracle_inertia(gram) -> tuple[int, int, int]:
+    """Counts of positive, negative and zero squares of a symmetric form.
+
+    Congruence diagonalization over Q; Sylvester's law makes the counts
+    independent of the elimination choices.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    plus = minus = zero = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            piv = next((t for t in range(i + 1, n) if a[t][t] != 0), None)
+            if piv is None:
+                pair = next(((t, u) for t in range(i, n)
+                             for u in range(t + 1, n) if a[t][u] != 0), None)
+                if pair is None:
+                    zero += n - i
+                    break
+                t, u = pair
+                # both diagonals vanish here, so this makes a[t][t] = 2 a[t][u]
+                for j in range(n):
+                    a[t][j] += a[u][j]
+                for j in range(n):
+                    a[j][t] += a[j][u]
+                piv = t
+            if piv != i:
+                a[i], a[piv] = a[piv], a[i]
+                for j in range(n):
+                    a[j][i], a[j][piv] = a[j][piv], a[j][i]
+        p = a[i][i]
+        if p > 0:
+            plus += 1
+        else:
+            minus += 1
+        for j in range(i + 1, n):
+            if a[j][i] != 0:
+                f = a[j][i] / p
+                for col in range(i, n):
+                    a[j][col] -= f * a[i][col]
+                for row in range(i, n):
+                    a[row][j] -= f * a[row][i]
     return plus, minus, zero
 
 
@@ -512,7 +555,7 @@ def random_k3_model(rng: random.Random, rho: int,
             gram[i][i] = 2 * rng.randint(-entry_bound // 2, entry_bound // 2)
             for j in range(i + 1, rho):
                 gram[i][j] = gram[j][i] = rng.randint(-entry_bound, entry_bound)
-        if _linalg.inertia(gram) == (1, rho - 1, 0):
+        if oracle_inertia(gram) == (1, rho - 1, 0):
             return K3LatticeModel(rho, tuple(tuple(row) for row in gram))
 
 

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -128,6 +129,22 @@ def test_non_finite_tolerance_exits_two(monkeypatch):
     assert code == 2 and "error" in err
 
 
+def test_subnormal_tolerance_is_certified(monkeypatch):
+    # 8 / tol overflows a float here; the radius is still certified
+    for tol in ("1e-320", "5e-324"):
+        code, out, _ = run_cli(
+            "spectral-radius", "--matrix", "[[2,1],[1,1]]", "--tol", tol
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert Fraction(data["hi"]) - Fraction(data["lo"]) <= Fraction(tol)
+    monkeypatch.setenv("MUKAI_ENTROPY_TOL", "5e-324")
+    code, out, _ = run_cli("spectral-radius", "--matrix", "[[2,1],[1,1]]")
+    assert code == 0
+    data = json.loads(out)
+    assert Fraction(data["hi"]) - Fraction(data["lo"]) <= Fraction(5e-324)
+
+
 def test_gy_gap_reference_row():
     code, out, _ = run_cli("gy-gap", "--d-min", "5", "--d-max", "5")
     assert code == 0
@@ -217,6 +234,28 @@ def test_entropy_curve_row_cap():
         "--t-min", "0", "--t-max", "1", "--step", "1/100000000",
     )
     assert code == 2 and "rows" in err
+
+
+def test_entropy_curve_huge_rationals_exit_two_quickly():
+    limit = sys.get_int_max_str_digits()
+    for flag, value in (
+        ("--t-min", "-1e5000"),   # exponent past the digit limit
+        ("--step", "1e-10000000"),  # would build 10**10000000 first
+        ("--step", "0e99999999"),
+        ("--t-min", "-1e4000"),   # parsed, but a grid of 10**4000 rows
+    ):
+        argv = {"--t-min": "-2", "--t-max": "2", "--step": "1", flag: value}
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            "entropy-curve", "--spherical-dim", "2", "--complement", "yes",
+            *(f"{k}={v}" for k, v in argv.items()))
+        assert time.perf_counter() - start < 5.0, value
+        assert (code, out) == (2, ""), value
+        assert err.count("\n") == 1 and len(err) < 200, value
+    assert f"exponent over {limit}" in run_cli(
+        "entropy-curve", "--spherical-dim", "2", "--complement", "yes",
+        "--t-min", "-2", "--t-max", "2", "--step", "1e-10000000")[2]
+    assert f"more than {cli.MAX_CURVE_ROWS} rows" in err
 
 
 def test_phi_h_rejects_nonpositive_degree():

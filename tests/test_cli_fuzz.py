@@ -132,16 +132,18 @@ def int_flag(lo, hi, extra=()):
 
 fractions = st.one_of(
     st.integers(-3, 3).map(str),
-    st.sampled_from(["1/3", "-5/2", "0", "1/0", "1e400", "1e-400"]),
+    st.sampled_from(["1/3", "-5/2", "0", "1/0", "1e400", "1e-400", "1e5000",
+                     "-1e5000"]),
     bad_numbers,
 )
 steps = st.one_of(
     st.sampled_from(["1/8", "1/4", "1/2", "1", "2", "0", "-1", "1e400",
-                     "1e-400"]),
+                     "1e-400", "1e5000", "-1e5000"]),
     bad_numbers,
 )
 tolerances = st.one_of(
-    st.sampled_from(["1e-9", "0.5", "1e-300", "0", "-1"]), bad_numbers
+    st.sampled_from(["1e-9", "0.5", "1e-300", "1e-320", "5e-324", "0", "-1"]),
+    bad_numbers,
 )
 
 SUBCOMMANDS = {

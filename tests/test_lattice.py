@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    oracle_inertia,
     oracle_pairing,
     oracle_rank_one_square,
     oracle_signature_by_descartes,
@@ -126,6 +128,60 @@ def test_signature_random_against_descartes_oracle():
         sig = signature_of(gram).as_tuple()
         assert sig == oracle_signature_by_descartes(gram)
         assert sum(sig) == n
+
+
+@st.composite
+def _symmetric_grams(draw):
+    """A symmetric integer matrix of size 0..22: random entries, random
+    entries on a zero diagonal (a pivot the elimination has to make), or a
+    low-rank B^T D B."""
+    n = draw(st.integers(0, 22))
+    kind = draw(st.sampled_from(["entries", "zero_diagonal", "low_rank"]))
+    if kind == "low_rank":
+        k = draw(st.integers(0, n))
+        b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n,
+                                   max_size=n), min_size=k, max_size=k))
+        d = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        return [[sum(b[t][i] * d[t] * b[t][j] for t in range(k))
+                 for j in range(n)] for i in range(n)]
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if kind == "entries":
+            gram[i][i] = draw(st.integers(-6, 6))
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-6, 6))
+    return gram
+
+
+@st.composite
+def _unimodular(draw, n):
+    """A product of elementary integer column operations, det +-1."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n < 2:
+        return u
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-2, 2))
+        for row in u:
+            row[i] += c * row[j]
+    return u
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_signature_matches_the_elimination_oracle(data):
+    gram = data.draw(_symmetric_grams())
+    n = len(gram)
+    sig = signature_of(gram).as_tuple()
+    assert sig == oracle_inertia(gram)
+    assert sum(sig) == n
+    # a unimodular congruence U^T G U keeps the signature
+    u = data.draw(_unimodular(n))
+    gu = [[sum(gram[a][b] * u[b][j] for b in range(n)) for j in range(n)]
+          for a in range(n)]
+    moved = [[sum(u[a][i] * gu[a][j] for a in range(n)) for j in range(n)]
+             for i in range(n)]
+    assert signature_of(moved).as_tuple() == sig
 
 
 def test_full_mukai_signature_is_two_rho():

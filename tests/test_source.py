@@ -23,6 +23,28 @@ def test_no_bare_assert_in_src():
     assert found == []
 
 
+def test_no_unused_import_in_src():
+    # every name a module-level import binds is read somewhere in the module;
+    # __init__.py is skipped, its imports are the public re-exports
+    files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert files
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def _module_body_imports(node):
     """Modules imported by statements that run at import time."""
     for child in ast.iter_child_nodes(node):
