@@ -54,8 +54,10 @@ from .spectral import (
 DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_ENV = "MUKAI_ENTROPY_TOL"
 # entropy-curve and gy-gap tables longer than this are refused instead of
-# tabulated
+# tabulated, and so are entropy-curve grids estimated to print more characters
+# than MAX_CURVE_CHARS
 MAX_CURVE_ROWS = 100_000
+MAX_CURVE_CHARS = 10 ** 7
 # gy-gap refuses d past this: radius_closed_form trial-divides d^2 - 4d to
 # at most its cube root; a row near the cap takes up to about 1 ms
 MAX_GY_D = 10 ** 6
@@ -82,10 +84,6 @@ def _fmt_exact(x) -> str:
         ) from exc
 
 
-def _fmt_rational(x: Fraction) -> str:
-    return _fmt_exact(Fraction(x))
-
-
 def _dump_json(obj) -> str:
     """Deterministic JSON with floats at 12 significant digits."""
     if isinstance(obj, dict):
@@ -102,7 +100,7 @@ def _dump_json(obj) -> str:
     if isinstance(obj, int):
         return _fmt_exact(obj)
     if isinstance(obj, Fraction):
-        return json.dumps(_fmt_rational(obj))
+        return json.dumps(_fmt_exact(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -276,13 +274,21 @@ def _cmd_entropy_curve(args) -> str:
     if n_rows > MAX_CURVE_ROWS:
         raise LatticeInputError(
             f"grid has more than {MAX_CURVE_ROWS} rows; raise --step")
+    # A row prints t and (1 - dim) t, and t = t_min + k * step has about the
+    # bits of step plus those of the larger of t_min, t_max
+    lo, hi, st = (x.numerator.bit_length() + x.denominator.bit_length()
+                  for x in (t_min, t_max, step))
+    row_bits = 2 * (max(lo, hi) + st) + args.spherical_dim.bit_length()
+    if n_rows * (math.ceil(row_bits * math.log10(2)) + 16) > MAX_CURVE_CHARS:
+        raise LatticeInputError(
+            f"grid output over {MAX_CURVE_CHARS} characters; raise --step")
     rows = []
     for k in range(n_rows):
         t = t_min + k * step
         piece = curve.piece_at(t)
         rows.append([
-            _fmt_rational(t),
-            _fmt_rational(piece.value_at(t)),
+            _fmt_exact(t),
+            _fmt_exact(piece.value_at(t)),
             "proven" if piece.proven else "unproven",
         ])
     return _csv(["t", "h_t", "proven"], rows)

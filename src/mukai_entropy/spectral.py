@@ -11,15 +11,16 @@ pair contributes its squared modulus, and no pairwise product can exceed the
 squared radius). That polynomial is built in integers: the power sums s_k of
 the distinct eigenvalues come from Newton's identities, (s_k^2 + s_2k) / 2 are
 the power sums of the products mu_a * mu_b with a <= b, and Newton's
-identities run backwards give its coefficients. Its squarefree part and
-Sturm chain come from integer pseudo-remainders reduced to primitive parts.
-Its top real root is bracketed by bisection at rational points: Sturm counts
-decide each step only until the bracket holds that root alone, and from then
-on the sign of the polynomial at the midpoint does. Floating estimates only
-seed the bracket; every adopted bound is re-proved by an exact root count.
-The seed is numpy's eigvals, and numpy is imported inside spectral_radius
-when it takes that seed: importing the package or running any other function
-does not load numpy.
+identities run backwards give its coefficients. One Sturm chain of it, from
+integer pseudo-remainders scaled by |lc| > 0 to primitive parts, gives its
+squarefree part s0 (the last entry is the gcd with the derivative) and counts
+the roots of s0 at every point where s0 != 0. Its top real root is bracketed
+by bisection at rational points: Sturm counts decide each step only until the
+bracket holds that root alone, and from then on the sign of the polynomial at
+the midpoint does. Floating estimates only seed the bracket; every adopted
+bound is re-proved by an exact root count. The seed is numpy's eigvals, and
+numpy is imported inside spectral_radius when it takes that seed: importing
+the package or running any other function does not load numpy.
 """
 
 from __future__ import annotations
@@ -105,28 +106,24 @@ def _poly_primitive(p) -> list[int]:
 
 
 def _poly_rem(a, b) -> list[int]:
-    """Primitive part of the remainder of a mod b, up to a positive factor.
+    """Primitive part of a positive multiple of the remainder of a mod b.
 
-    Integer pseudo-division: each step scales the running remainder by
-    lc(b) / gcd(lc(b), top) before cancelling its top term. The remainder over
-    the rationals is the result divided by the product of those factors, so
-    the sign is flipped when that product is negative.
+    Integer pseudo-division by b with a positive leading coefficient, which
+    leaves the remainder as it is: each step scales the running remainder by
+    |lc(b)| > 0 before cancelling its top term, so no sign is tracked.
     """
+    if b[-1] < 0:
+        b = [-y for y in b]
     lead = b[-1]
     k = len(b) - 1
     r = _poly_trim(list(a))
-    negative = False
     while len(r) > k and r != [0]:
         top = r[-1]
-        g = math.gcd(lead, top)
-        f, t = lead // g, top // g
         shift = len(r) - 1 - k
-        r = [f * x for x in r[:shift]] + [
-            f * x - t * y for x, y in zip(r[shift:-1], b)]
+        r = [lead * x for x in r[:shift]] + [
+            lead * x - top * y for x, y in zip(r[shift:-1], b)]
         r = _poly_trim(r or [0])
-        negative ^= f < 0
-    r = _poly_primitive(r)
-    return [-x for x in r] if negative else r
+    return _poly_primitive(r)
 
 
 def _poly_exact_quo(a, b) -> list[int]:
@@ -148,9 +145,10 @@ def _poly_exact_quo(a, b) -> list[int]:
     return quot
 
 
-def _squarefree_part(p) -> list[int]:
-    # the last entry of the Sturm chain is gcd(p, p') up to a factor
-    g = _sturm_chain(p)[-1]
+def _squarefree_part(chain) -> list[int]:
+    """Squarefree part of chain[0] from its Sturm chain, which ends in the gcd
+    with the derivative; primitive, with a positive leading coefficient."""
+    p, g = chain[0], chain[-1]
     out = list(p) if len(g) == 1 else _poly_primitive(_poly_exact_quo(p, g))
     if out[-1] < 0:
         out = [-c for c in out]
@@ -174,16 +172,14 @@ def _sign_at(poly, u: int, w: int = 1) -> int:
 
 
 def _sturm_chain(p) -> list[list[int]]:
-    """Sturm chain of p; each entry is the negated remainder scaled by a
-    positive factor to primitive integers."""
+    """Sturm chain of p, of degree at least 1; each entry is the negated
+    remainder scaled by a positive factor to primitive integers."""
     chain = [list(p), _poly_primitive(_poly_deriv(p))]
     while len(chain[-1]) > 1:
         rem = _poly_rem(chain[-2], chain[-1])
         if rem == [0]:
             break
         chain.append([-x for x in rem])
-    if chain[-1] == [0]:
-        chain.pop()
     return chain
 
 
@@ -242,14 +238,15 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     rows = _check_square_int(matrix)
     if not (tolerance > 0 and math.isfinite(tolerance)):
         raise LatticeInputError("tolerance must be positive and finite")
-    cp = char_poly(rows)
-    coeffs = list(cp.coeffs)
+    coeffs = _linalg.char_poly_coeffs(rows)
     while coeffs[0] == 0:
         coeffs.pop(0)
     if len(coeffs) == 1:
         return CertifiedRadius(0.0, Fraction(0), Fraction(0), tolerance)
-    s0 = _squarefree_part(_pairwise_product_poly(_squarefree_part(coeffs)))
-    chain = _sturm_chain(s0)
+    chain = _sturm_chain(
+        _pairwise_product_poly(_squarefree_part(_sturm_chain(coeffs))))
+    s0 = _squarefree_part(chain)
+    # every count below is at a point where s0 != 0, so chain counts s0's roots
     bound = 2 + max(abs(c) for c in s0)
     v_top = _variations(chain, bound)
 
@@ -273,11 +270,9 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     except (OverflowError, np.linalg.LinAlgError, ValueError):
         est = 0.0
     if est > 0:
-        margin = Fraction(1, 1000)
-        cand_lo = Fraction(est) * (1 - margin)
-        cand_hi = Fraction(est) * (1 + margin)
-        lo_c = max(Fraction(0), cand_lo * cand_lo)
-        hi_c = min(Fraction(bound), cand_hi * cand_hi)
+        seed = Fraction(est)  # squared within a margin of 1/1000
+        lo_c = (seed * Fraction(999, 1000)) ** 2
+        hi_c = min(Fraction(bound), (seed * Fraction(1001, 1000)) ** 2)
         if (
             lo_c < hi_c
             and _sign_at(s0, *lo_c.as_integer_ratio()) != 0
@@ -426,11 +421,9 @@ class QuadraticSurd:
         a, b = self.a, self.b
         if b == 0:
             return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
+        if a >= 0 and b > 0:
             return 1
-        if a < 0 and b < 0:
+        if a <= 0 and b < 0:
             return -1
         lhs = a * a
         rhs = b * b * self.root

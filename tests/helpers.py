@@ -672,7 +672,8 @@ def oracle_spectral_radius(matrix, tolerance: float = 1e-9,
         coeffs.pop(0)
     if len(coeffs) == 1:
         return Fraction(0), Fraction(0), 0.0
-    s0 = _squarefree_part(_pairwise_product_poly(_squarefree_part(coeffs)))
+    s0 = _squarefree_part(_sturm_chain(
+        _pairwise_product_poly(_squarefree_part(_sturm_chain(coeffs)))))
     chain = _sturm_chain(s0)
     bound = 2 + max(abs(c) for c in s0)
     v_top = _oracle_variations(chain, Fraction(bound))

@@ -258,6 +258,22 @@ def test_entropy_curve_huge_rationals_exit_two_quickly():
     assert f"more than {cli.MAX_CURVE_ROWS} rows" in err
 
 
+def test_entropy_curve_refuses_huge_output_quickly():
+    # 2001 rows of 4300-digit rationals would print about 17 MB
+    t_min = -10 ** 4298
+    argv = ("entropy-curve", "--spherical-dim", "2", "--complement", "yes",
+            f"--t-min={t_min}", "--step", "1")
+    start = time.perf_counter()
+    code, out, err = run_cli(*argv, f"--t-max={t_min + 1999}")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: grid output over {cli.MAX_CURVE_CHARS} "
+                   "characters; raise --step\n")
+    # the same rationals on a few rows are printed
+    code, out, _ = run_cli(*argv, f"--t-max={t_min + 2}")
+    assert code == 0 and out.count("\n") == 4 and len(out) > 3 * 8600
+
+
 def test_phi_h_rejects_nonpositive_degree():
     code, _, _ = run_cli("phi-h", "--d", "0")
     assert code == 2

@@ -320,12 +320,16 @@ def test_root_product_polynomial_known_case():
 def test_pairwise_product_polynomial_known_case():
     # products mu_a mu_b with a <= b of the roots 2, 3 are 4, 6, 9:
     # s0 = (t-4)(t-6)(t-9) = t^3 - 19t^2 + 114t - 216
-    from mukai_entropy.spectral import _pairwise_product_poly, _squarefree_part
+    from mukai_entropy.spectral import (
+        _pairwise_product_poly,
+        _squarefree_part,
+        _sturm_chain,
+    )
 
     p = list(char_poly([[2, 0], [0, 3]]).coeffs)
-    prod = _pairwise_product_poly(_squarefree_part(p))
+    prod = _pairwise_product_poly(_squarefree_part(_sturm_chain(p)))
     assert prod == [-216, 114, -19, 1]
-    assert _squarefree_part(prod) == prod
+    assert _squarefree_part(_sturm_chain(prod)) == prod
 
 
 def test_pairwise_product_polynomial_refuses_bad_input():
@@ -345,7 +349,8 @@ def _radius_polys(p):
         _sturm_chain,
     )
 
-    s0 = _squarefree_part(_pairwise_product_poly(_squarefree_part(p)))
+    s0 = _squarefree_part(_sturm_chain(
+        _pairwise_product_poly(_squarefree_part(_sturm_chain(p)))))
     oracle_s0 = oracle_squarefree_part(oracle_root_product_poly(p))
     return (s0, _sturm_chain(s0)), (oracle_s0, oracle_sturm_chain(oracle_s0))
 
@@ -391,7 +396,7 @@ def test_sturm_chain_and_squarefree_part_match_rational_euclid(low, lead):
 
     p = low + [lead]
     assert _sturm_chain(p) == oracle_sturm_chain(p)
-    assert _squarefree_part(p) == oracle_squarefree_part(p)
+    assert _squarefree_part(_sturm_chain(p)) == oracle_squarefree_part(p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -418,6 +423,79 @@ def test_twist_word_radius_polynomials_match_resultant_oracle(rho, length, seed)
         )
     new, oracle = _radius_polys(_stripped_char_poly(action.matrix))
     assert new == oracle
+
+
+def _assert_sturm_counts_match_sympy(p, points):
+    """Between any two non-roots u < w of p, the variations of the Sturm chain
+    of p drop by the number of distinct real roots in (u, w), as sympy's
+    Poly.count_roots finds them; the Cauchy-type bounds +-(2 + max |c|) are
+    among the points, so the total count is checked too."""
+    import sympy
+
+    def rational(u):
+        return sympy.Rational(u.numerator, u.denominator)
+
+    poly = sympy.Poly(p[::-1], sympy.Symbol("x"))
+    bound = 2 + max(abs(c) for c in p)
+    chain = spectral._sturm_chain(p)
+    pts = sorted({Fraction(u) for u in (*points, -bound, bound)
+                  if poly.eval(rational(u))})
+    for u, w in zip(pts, pts[1:]):
+        drop = (spectral._variations(chain, *u.as_integer_ratio())
+                - spectral._variations(chain, *w.as_integer_ratio()))
+        assert drop == poly.count_roots(rational(u), rational(w)), (p, u, w)
+
+
+_count_points = st.lists(
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)), min_size=1,
+             max_size=2),
+    st.integers(2, 4),
+    st.integers(0, 3),
+    st.lists(st.integers(-6, 6), max_size=4),
+    st.sampled_from((-3, -1, 1, 2)),
+    _count_points,
+)
+def test_sturm_chain_counts_distinct_roots_of_repeated_factors(
+        roots, i, j, low, lead, points):
+    # (c1 x - a1)^i (c2 x - a2)^j r(x): the chain ends in a non-constant
+    # gcd(p, p'), and at non-roots it still counts each root once
+    p = low + [lead]
+    for (a, c), mult in zip(roots + roots[:1], (i, j)):
+        for _ in range(mult):
+            p = poly_mul(p, [-a, c])
+    assert len(spectral._sturm_chain(p)[-1]) > 1
+    _assert_sturm_counts_match_sympy(p, points)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10 ** 6),
+       _count_points)
+def test_sturm_chain_of_twist_word_product_poly_counts_like_sympy(
+        rho, length, seed, points):
+    # the pairwise-product polynomial P whose chain the certificate counts
+    # with; its roots include 1 many times over
+    from mukai_entropy.isometries import compose, spherical_twist_action
+    from mukai_entropy.spectral import (
+        _pairwise_product_poly,
+        _squarefree_part,
+        _sturm_chain,
+    )
+
+    rng = random.Random(seed)
+    model = random_k3_model(rng, rho, entry_bound=6)
+    action = spherical_twist_action(model, random_spherical(rng, model, 1))
+    for _ in range(length - 1):
+        action = compose(
+            action, spherical_twist_action(model, random_spherical(rng, model, 1))
+        )
+    q = _squarefree_part(_sturm_chain(_stripped_char_poly(action.matrix)))
+    _assert_sturm_counts_match_sympy(_pairwise_product_poly(q), points)
 
 
 def _pinned_cases():
@@ -702,6 +780,28 @@ def test_isolated_bracket_needs_no_sturm_counts_per_step(monkeypatch):
             spectral_radius(mat, tol)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+def test_radius_certificate_builds_two_sturm_chains(monkeypatch):
+    # one for the stripped char poly, one for the pairwise-product
+    # polynomial, whose chain also gives s0 and every root count
+    calls = []
+    real = spectral._sturm_chain
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(spectral, "_sturm_chain", counting)
+    for mat in (family_matrix(5), [[-7]], [[2, 0], [0, 3]],
+                _pinned_cases()["word_12_twists_rank6"],
+                _pinned_cases()["phi_H_d100_rank8"]):
+        calls.clear()
+        spectral_radius(mat, 1e-9)
+        assert len(calls) == 2
+    calls.clear()
+    spectral_radius([[0, 1], [0, 0]])  # stripped char poly is constant
+    assert calls == []
 
 
 def test_char_poly_multiplies_half_the_powers(monkeypatch):
