@@ -8,6 +8,7 @@ matching functor composition, so composing needs no transposes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import _linalg
@@ -17,7 +18,6 @@ from .lattice import (
     MukaiVector,
     _as_int,
     is_spherical_class,
-    ns_product,
     square,
     structure_sheaf_vector,
 )
@@ -107,8 +107,8 @@ def tensor_line_bundle_action(model: K3LatticeModel, divisor) -> Isometry:
     rho = model.picard_rank
     if len(d_vec) != rho:
         raise LatticeInputError("divisor length must equal picard_rank")
-    d_sq = ns_product(model, d_vec, d_vec)
-    g = model.ns_gram
+    gd = _linalg.mat_vec(model.ns_gram, d_vec)
+    d_sq = sum(map(operator.mul, d_vec, gd))
     n = model.rank
     rows = [[0] * n for _ in range(n)]
     rows[0][0] = 1
@@ -116,8 +116,7 @@ def tensor_line_bundle_action(model: K3LatticeModel, divisor) -> Isometry:
         rows[1 + i][0] = d_vec[i]
         rows[1 + i][1 + i] = 1
     rows[n - 1][0] = d_sq // 2
-    for j in range(rho):
-        rows[n - 1][1 + j] = sum(g[j][t] * d_vec[t] for t in range(rho))
+    rows[n - 1][1:n - 1] = gd
     rows[n - 1][n - 1] = 1
     label = "tensor[(" + ",".join(str(x) for x in d_vec) + ")]"
     return Isometry(model, tuple(tuple(r) for r in rows), label)

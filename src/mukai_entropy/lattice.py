@@ -2,8 +2,10 @@
 
 A vector has integer coordinates (r, c_1..c_rho, m) in H^0 + NS + H^4 and the
 pairing is <v, w> = c_v . c_w - r_v * m_w - r_w * m_v, with the NS product
-taken through the model's Gram matrix. Column-vector convention throughout:
-matrices act on coordinate columns ordered (r, c, m).
+taken through the model's Gram matrix. Pairings go through _linalg.mat_vec:
+a . G b is one dot product with G b, and pairing_matrix forms G v once per
+vector. Column-vector convention throughout: matrices act on coordinate
+columns ordered (r, c, m).
 
 All values are immutable, all functions pure; nothing here ever rounds, so
 results can be compared with ==.
@@ -12,6 +14,7 @@ results can be compared with ==.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from . import _linalg
@@ -146,10 +149,10 @@ def _check_vector(model: K3LatticeModel, v: MukaiVector, name: str = "vector"):
 
 
 def ns_product(model: K3LatticeModel, a, b) -> int:
-    """Intersection product of two NS coordinate vectors."""
-    g = model.ns_gram
-    return sum(a[i] * g[i][j] * b[j]
-               for i in range(len(a)) for j in range(len(b)))
+    """Intersection product a . G b of two NS coordinate vectors."""
+    if len(a) != model.picard_rank or len(b) != model.picard_rank:
+        raise LatticeInputError("NS vector length must equal picard_rank")
+    return sum(map(operator.mul, a, _linalg.mat_vec(model.ns_gram, b)))
 
 
 def mukai_pairing(model: K3LatticeModel, v: MukaiVector, w: MukaiVector) -> int:
@@ -184,11 +187,13 @@ def signature_of(gram) -> Signature:
 
 
 def pairing_matrix(model: K3LatticeModel, vectors) -> tuple[tuple[int, ...], ...]:
-    """Gram matrix of the Mukai pairing restricted to the given vectors."""
+    """Gram matrix of the Mukai pairing on the given vectors, from G v."""
     vs = list(vectors)
-    return tuple(
-        tuple(mukai_pairing(model, a, b) for b in vs) for a in vs
-    )
+    for v in vs:
+        _check_vector(model, v)
+    images = [_linalg.mat_vec(model.mukai_gram, v.coords) for v in vs]
+    return tuple(tuple(sum(map(operator.mul, a.coords, gb)) for gb in images)
+                 for a in vs)
 
 
 def orthogonal_complement_basis(model: K3LatticeModel, vectors) -> list[MukaiVector]:

@@ -74,32 +74,44 @@ def rank2_isotropy_free(model: K3LatticeModel, s: MukaiVector,
     return not is_perfect_square(2 * square(model, v))
 
 
-def _coefficient_shells(rank: int, bound: int):
-    """Coefficient tuples with sup norm r for r = 1..bound, shortest first.
+def _coefficient_shells(gram, bound: int):
+    """Pairs (c, c^T G c), c of sup norm r for r = 1..bound, shortest first.
 
     Within a shell the order is by L1 norm, then lexicographic. Each L1 level
     is walked depth first with values ascending, so tuples come out lazily in
     that order; a branch is entered only when its remaining L1 budget can
     still be spent with entries in [-r, r] and reach |entry| = r somewhere,
-    so every branch yields.
+    so every branch yields. The square is carried down the walk: setting
+    entry i to x adds x (x g_ii + 2 sum_{j<i} c_j g_ij), with the sum taken
+    once per node over the nonzero prefix, and x = 0 adds nothing.
     """
+    rank = len(gram)
     coeffs = [0] * rank
+    support = []
 
-    def walk(i, r, rest, hit):
+    def walk(i, r, rest, hit, q):
         if i == rank:
-            yield tuple(coeffs)
+            yield tuple(coeffs), q
             return
+        row = gram[i]
+        cross = 2 * sum(coeffs[j] * row[j] for j in support)
         room = r * (rank - i - 1)
         for x in range(-r, r + 1):
             left = rest - abs(x)
             now_hit = hit or abs(x) == r
             if 0 <= left <= room and (now_hit or left >= r):
                 coeffs[i] = x
-                yield from walk(i + 1, r, left, now_hit)
+                if x:
+                    support.append(i)
+                    yield from walk(i + 1, r, left, now_hit,
+                                    q + x * (x * row[i] + cross))
+                    support.pop()
+                else:
+                    yield from walk(i + 1, r, left, now_hit, q)
 
     for r in range(1, bound + 1):
         for l1 in range(r, r * rank + 1):
-            yield from walk(0, r, l1, False)
+            yield from walk(0, r, l1, False, 0)
 
 
 def _primitive_class(basis, coeffs) -> MukaiVector:
@@ -127,9 +139,7 @@ def find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
     basis = orthogonal_complement_basis(model, [s])
     gram = pairing_matrix(model, basis)
     first_positive = None
-    for coeffs in _coefficient_shells(len(basis), search_bound):
-        support = [(i, c) for i, c in enumerate(coeffs) if c]
-        q = sum(c * d * gram[i][j] for i, c in support for j, d in support)
+    for coeffs, q in _coefficient_shells(gram, search_bound):
         if q <= 0:
             continue
         # the basis is saturated (columns of a unimodular matrix), so the

@@ -51,6 +51,19 @@ def oracle_pairing(model: K3LatticeModel, v: MukaiVector, w: MukaiVector) -> int
     return total - v.r * w.m - w.r * v.m
 
 
+def oracle_ns_product(model: K3LatticeModel, a, b) -> int:
+    """NS product by a double loop over the index pairs (i, j)."""
+    g = model.ns_gram
+    return sum(a[i] * g[i][j] * b[j]
+               for i in range(len(a)) for j in range(len(b)))
+
+
+def oracle_pairing_matrix(model: K3LatticeModel, vectors):
+    """Gram matrix of k vectors from k^2 separate oracle pairings."""
+    vs = list(vectors)
+    return tuple(tuple(oracle_pairing(model, a, b) for b in vs) for a in vs)
+
+
 def oracle_rank_one_square(d: int, v: MukaiVector) -> int:
     """2 d c^2 - 2 r m, the rank-one square formula."""
     return 2 * d * v.c[0] * v.c[0] - 2 * v.r * v.m
@@ -466,6 +479,13 @@ def oracle_coefficient_shells(rank: int, bound: int):
         yield from shell
 
 
+def _oracle_class(basis, coeffs) -> MukaiVector:
+    v = scale_vector(coeffs[0], basis[0])
+    for c, b in zip(coeffs[1:], basis[1:]):
+        v = add_vectors(v, scale_vector(c, b))
+    return sign_normalized(primitive_vector(v))
+
+
 def oracle_find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
                                     bound: int) -> MukaiVector:
     """The orthogonal-class search over sorted whole shells, building and
@@ -476,10 +496,7 @@ def oracle_find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
     basis = orthogonal_complement_basis(model, [s])
     first_positive = None
     for coeffs in oracle_coefficient_shells(len(basis), bound):
-        v = scale_vector(coeffs[0], basis[0])
-        for c, b in zip(coeffs[1:], basis[1:]):
-            v = add_vectors(v, scale_vector(c, b))
-        v = sign_normalized(primitive_vector(v))
+        v = _oracle_class(basis, coeffs)
         q = square(model, v)
         if q <= 0:
             continue
@@ -490,6 +507,37 @@ def oracle_find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
     if first_positive is None:
         raise SearchExhaustedError("no positive class in the box")
     return _perturb_square_case(model, s, first_positive)
+
+
+def oracle_search_per_candidate_q(model: K3LatticeModel, s: MukaiVector,
+                                  bound: int) -> MukaiVector:
+    """The orthogonal-class search with q = c^T G c summed afresh for every
+    candidate over its support, on the k^2-pairing Gram matrix. The lazy
+    candidate order (pinned against oracle_coefficient_shells by its own
+    test) and the N v + u repair are the package's; the square carried
+    along the walk is discarded."""
+    from mukai_entropy.orthosearch import (
+        _coefficient_shells,
+        _perturb_square_case,
+    )
+
+    basis = orthogonal_complement_basis(model, [s])
+    gram = oracle_pairing_matrix(model, basis)
+    first_positive = None
+    for coeffs, _ in _coefficient_shells(gram, bound):
+        support = [(i, c) for i, c in enumerate(coeffs) if c]
+        q = sum(c * d * gram[i][j] for i, c in support for j, d in support)
+        if q <= 0:
+            continue
+        g = math.gcd(*coeffs)
+        q //= g * g
+        if not is_perfect_square(2 * q):
+            return _oracle_class(basis, coeffs)
+        if first_positive is None:
+            first_positive = coeffs
+    if first_positive is None:
+        raise SearchExhaustedError("no positive class in the box")
+    return _perturb_square_case(model, s, _oracle_class(basis, first_positive))
 
 
 def oracle_iterated_chi(n: int, i: int, k: int, d: int) -> int:

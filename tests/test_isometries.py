@@ -7,6 +7,7 @@ from helpers import (
     basis_spherical_class,
     fraction_det,
     oracle_invert_unimodular,
+    oracle_ns_product,
     oracle_restrict_to_sublattice,
     random_k3_model,
     random_spherical,
@@ -48,12 +49,10 @@ V = MukaiVector
 
 def mukai_product(model, a, b):
     """(r r', r c' + r' c, r m' + r' m + c.c'), the product of Mukai vectors."""
-    from mukai_entropy.lattice import ns_product
-
     return V(
         a.r * b.r,
         tuple(a.r * y + b.r * x for x, y in zip(a.c, b.c)),
-        a.r * b.m + b.r * a.m + ns_product(model, a.c, b.c),
+        a.r * b.m + b.r * a.m + oracle_ns_product(model, a.c, b.c),
     )
 
 
@@ -124,6 +123,21 @@ def test_tensor_matches_mukai_product_oracle():
         for _ in range(10):
             v = random_vector(rng, model, 10)
             assert action.apply(v) == mukai_product(model, factor, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+@example(rho=20, seed=23)
+def test_tensor_matrix_columns_are_mukai_products(rho, seed):
+    # column j is (1, D, D^2/2) times e_j, with D^2 and D.c by double loops
+    rng = random.Random(seed)
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 6))
+    divisor = tuple(rng.randint(-9, 9) for _ in range(rho))
+    factor = V(1, divisor, oracle_ns_product(model, divisor, divisor) // 2)
+    units = [V.from_coords(row) for row in _linalg.identity(model.rank)]
+    columns = [mukai_product(model, factor, e).coords for e in units]
+    assert tensor_line_bundle_action(model, divisor).matrix == \
+        tuple(zip(*columns))
 
 
 def test_tensor_is_unipotent():

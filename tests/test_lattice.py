@@ -1,16 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     oracle_inertia,
+    oracle_ns_product,
     oracle_pairing,
+    oracle_pairing_matrix,
     oracle_rank_one_square,
     oracle_signature_by_descartes,
     random_k3_model,
     random_vector,
     same_lattice,
+    unimodular_k3_model,
 )
 from mukai_entropy.errors import LatticeInputError
 from mukai_entropy.lattice import (
@@ -23,6 +26,7 @@ from mukai_entropy.lattice import (
     model_from_dict,
     model_to_dict,
     mukai_pairing,
+    ns_product,
     orthogonal_complement_basis,
     pairing_matrix,
     primitive_vector,
@@ -89,6 +93,45 @@ def test_pairing_dimension_mismatch():
     m = rank_one_model(2)
     with pytest.raises(LatticeInputError):
         mukai_pairing(m, V(1, (0, 0), 1), V(1, (0,), 1))
+
+
+def test_ns_product_rejects_short_vectors():
+    # a map over the shorter vector would return g_00 for (1,) . (1, 0)
+    m = K3LatticeModel(2, ((2, 1), (1, -2)))
+    with pytest.raises(LatticeInputError):
+        ns_product(m, (1,), (1, 0))
+    with pytest.raises(LatticeInputError):
+        ns_product(m, (1, 0), (1,))
+
+
+def test_ns_product_rejects_long_vectors():
+    m = K3LatticeModel(2, ((2, 1), (1, -2)))
+    with pytest.raises(LatticeInputError):
+        ns_product(m, (1, 0, 0), (1, 0))
+    with pytest.raises(LatticeInputError):
+        ns_product(m, (1, 0), (1, 0, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(0, 6))
+@example(rho=20, seed=22, k=6)
+def test_pairings_match_double_loop_oracles(rho, seed, k):
+    rng = random.Random(seed)
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 6))
+    vs = [random_vector(rng, model, 30) for _ in range(k)]
+    for a in vs:
+        for b in vs:
+            assert ns_product(model, a.c, b.c) == \
+                oracle_ns_product(model, a.c, b.c)
+    assert pairing_matrix(model, vs) == oracle_pairing_matrix(model, vs)
+
+
+def test_pairing_matrix_checks_every_vector():
+    m = rank_one_model(2)
+    for vs in ([V(1, (0, 0), 1)], [V(1, (0,), 1), V(0, (1, 1), 0)]):
+        with pytest.raises(LatticeInputError, match="NS length 2"):
+            pairing_matrix(m, vs)
 
 
 def test_model_validation():

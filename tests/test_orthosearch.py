@@ -7,6 +7,7 @@ from helpers import (
     basis_spherical_class,
     oracle_coefficient_shells,
     oracle_find_positive_orthogonal,
+    oracle_search_per_candidate_q,
     random_k3_model,
     random_spherical,
     spherical_classes_in_box,
@@ -81,20 +82,52 @@ def test_search_output_is_primitive_and_verified():
         assert doubled_square_is_nonsquare(model, v)
 
 
+def _random_symmetric(rng, rank, entry_bound=9):
+    g = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            g[i][j] = g[j][i] = rng.randint(-entry_bound, entry_bound)
+    return tuple(tuple(row) for row in g)
+
+
 @pytest.mark.parametrize("rank", range(1, 8))
 def test_lazy_shells_match_sorted_oracle(rank):
+    gram = _random_symmetric(random.Random(rank), rank)
     for bound in range(1, 4 if rank <= 5 else 3):
-        assert list(_coefficient_shells(rank, bound)) == \
+        assert [c for c, _ in _coefficient_shells(gram, bound)] == \
             list(oracle_coefficient_shells(rank, bound))
+
+
+_rank_and_bound = st.integers(1, 7).flatmap(lambda rank: st.tuples(
+    st.just(rank), st.integers(1, 3 if rank <= 5 else 2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rank_bound=_rank_and_bound, seed=st.integers(0, 2**32 - 1))
+@example(rank_bound=(7, 2), seed=0)
+@example(rank_bound=(5, 3), seed=1)
+def test_shell_squares_match_quadratic_form(rank_bound, seed):
+    rank, bound = rank_bound
+    gram = _random_symmetric(random.Random(seed), rank)
+    for coeffs, q in _coefficient_shells(gram, bound):
+        assert q == sum(coeffs[i] * gram[i][j] * coeffs[j]
+                        for i in range(rank) for j in range(rank))
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), rho=st.integers(1, 4),
        bound=st.integers(1, 2), pick=st.integers(0, 10 ** 6))
+@example(seed=8, rho=8, bound=1, pick=0)
+@example(seed=10, rho=10, bound=1, pick=1)
 def test_search_matches_whole_box_oracle(seed, rho, bound, pick):
-    model = random_k3_model(random.Random(seed), rho)
-    classes = spherical_classes_in_box(model, 1)
-    s = classes[pick % len(classes)]
+    rng = random.Random(seed)
+    if rho <= 4:
+        model = random_k3_model(rng, rho)
+        classes = spherical_classes_in_box(model, 1)
+        s = classes[pick % len(classes)]
+    else:  # the explicit examples: O_X, as in the benchmark at rho 8 and 10
+        model = unimodular_k3_model(rng, rho, 1 + pick % 3)
+        s = structure_sheaf_vector(model)
     try:
         expected = oracle_find_positive_orthogonal(model, s, bound)
     except SearchExhaustedError:
@@ -102,6 +135,44 @@ def test_search_matches_whole_box_oracle(seed, rho, bound, pick):
             find_positive_orthogonal(model, s, bound)
         return
     assert find_positive_orthogonal(model, s, bound) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+@example(rho=20, seed=20)
+def test_search_matches_per_candidate_q_oracle(rho, seed):
+    # up to rho 6 a moved spherical class (a full bound-1 scan is at most
+    # 3^7 tuples); above, O_X, whose bound-1 hit comes within ~3 rho tuples
+    rng = random.Random(seed)
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 6))
+    s = _moved_spherical(rng, model) if rho <= 6 else \
+        structure_sheaf_vector(model)
+    try:
+        expected = oracle_search_per_candidate_q(model, s, 1)
+    except SearchExhaustedError:
+        with pytest.raises(SearchExhaustedError):
+            find_positive_orthogonal(model, s, 1)
+        return
+    assert find_positive_orthogonal(model, s, 1) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_pairing_matrix_makes_no_mukai_pairing_call(monkeypatch, k):
+    calls = _count_mukai_pairings(monkeypatch)
+    model = unimodular_k3_model(random.Random(k), 4, 2)
+    vs = [V.from_coords(row) for row in _linalg.identity(model.rank)][:k]
+    pairing_matrix(model, vs)
+    assert calls == []
+
+
+def test_rank_twenty_search_pairs_a_constant_number_of_times(monkeypatch):
+    # the complement Gram at rho 20 has 21^2 = 441 entries; none of them
+    # may cost a mukai_pairing call, only the spherical check of s and the
+    # re-check of the hit
+    calls = _count_mukai_pairings(monkeypatch)
+    model = unimodular_k3_model(random.Random(20), 20, 3)
+    find_positive_orthogonal(model, structure_sheaf_vector(model), 1)
+    assert 1 <= len(calls) <= 4
 
 
 def test_search_at_picard_rank_twenty():
@@ -245,6 +316,19 @@ def test_s_perp_drops_one_negative_direction():
         comp = orthogonal_complement_basis(model, [s])
         sig = signature_of(pairing_matrix(model, comp))
         assert sig.as_tuple() == (2, rho - 1, 0)
+
+
+def _count_mukai_pairings(monkeypatch):
+    calls = []
+    real = lattice.mukai_pairing
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "mukai_pairing", counted)
+    monkeypatch.setattr(orthosearch, "mukai_pairing", counted)
+    return calls
 
 
 def _moved_spherical(rng, model):
