@@ -58,8 +58,8 @@ TOLERANCE_ENV = "MUKAI_ENTROPY_TOL"
 # than MAX_CURVE_CHARS
 MAX_CURVE_ROWS = 100_000
 MAX_CURVE_CHARS = 10 ** 7
-# gy-gap refuses d past this: radius_closed_form trial-divides d^2 - 4d to
-# at most its cube root; a row near the cap takes up to about 1 ms
+# gy-gap refuses d past this: a row trial-divides the odd parts of d and
+# d - 4 to their cube roots, about 0.015 ms per row near the cap
 MAX_GY_D = 10 ** 6
 
 

@@ -14,9 +14,11 @@ logarithm of its lattice spectral radius.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _linalg
 from .errors import LatticeInputError
 from .isometries import (
     Isometry,
@@ -25,12 +27,10 @@ from .isometries import (
 )
 from .lattice import (
     K3LatticeModel,
-    MukaiVector,
-    euler_pairing,
     rank_one_model,
     structure_sheaf_vector,
 )
-from .spectral import radius_closed_form, spectral_radius
+from .spectral import _closed_form_parts, spectral_radius
 
 
 def _positive_int(x, what: str) -> int:
@@ -200,29 +200,30 @@ class ExtRecursionTable:
 
 
 def ext_recursion_table(d: int, i: int, k: int, n_max: int) -> ExtRecursionTable:
-    """Ext growth rows for n = 0..n_max; one isometry application per row."""
+    """Ext growth rows for n = 0..n_max: one matrix-vector product per row,
+    chi(O_X, T_k v) = -<o_x, T_k v> as one dot with the fixed row -T_k^T G o_x,
+    and top_dim and (d+2)^n as running products."""
     d = _positive_int(d, "d")
     i = _positive_int(i, "i")
     k = _positive_int(k, "k")
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
         raise LatticeInputError("n_max must be a non-negative integer")
     model = rank_one_model(d)
-    phi = twist_tensor_action(model)
-    tensor_k = tensor_line_bundle_action(model, (-k,))
-    o_x = structure_sheaf_vector(model)
-    moved = MukaiVector(1, (-i,), i * i * d + 1)
+    phi = twist_tensor_action(model).matrix
+    tensor_k = tensor_line_bundle_action(model, (-k,)).matrix
+    g_o = _linalg.mat_vec(model.mukai_gram, structure_sheaf_vector(model).coords)
+    chi_row = [-x for x in _linalg.mat_vec(_linalg.transpose(tensor_k), g_o)]
+    moved = (1, -i, i * i * d + 1)
+    top_dim, growth = h0_line_bundle(i + k, d), 1
+    next_top = h0_line_bundle(i + 1, d) * h0_line_bundle(k, d)
     rows = []
     for n in range(n_max + 1):
         if n:
-            moved = phi.apply(moved)
-        rows.append(ExtTableRow(
-            n=n,
-            top_degree=n + 2,
-            top_dim=ext_top_dim(n, i, k, d),
-            growth_bound=reference_growth_bound(n, d),
-            chi=euler_pairing(model, o_x, tensor_k.apply(moved)),
-            vanishing_range=(2, n + 2),
-        ))
+            moved = _linalg.mat_vec(phi, moved)
+            top_dim, next_top = next_top, next_top * (d + 2)
+            growth *= d + 2
+        chi = sum(map(operator.mul, chi_row, moved))
+        rows.append(ExtTableRow(n, n + 2, top_dim, growth, chi, (2, n + 2)))
     return ExtRecursionTable(d, i, k, tuple(rows))
 
 
@@ -248,7 +249,10 @@ def gy_gap(d: int) -> GapReport:
     # with m = d^2 - 4d is sqrt(m) < d + 6, and both sides are non-negative
     certified = d <= 4 or d * d - 4 * d < (d + 6) ** 2
     lower = math.log(d + 2)
-    log_rho = math.log(float(radius_closed_form(d)))
+    log_rho = 0.0   # the radius is 1 for d <= 4
+    if d > 4:   # the terms of float(radius_closed_form(d)), rounded alike
+        f, core = _closed_form_parts(d)
+        log_rho = math.log((d - 2) / 2 + f / 2 * math.sqrt(core))
     return GapReport(d, lower, log_rho, lower - log_rho, certified)
 
 

@@ -376,6 +376,18 @@ def _square_part(n: int) -> tuple[int, int]:
     return f, core * rest
 
 
+def _closed_form_parts(d: int) -> tuple[int, int]:
+    """_square_part(d*d - 4*d) for d >= 5 from the odd parts of d and d - 4:
+    they are coprime, so trial division runs to the cube root of d, not d^2.
+    """
+    f, core, e = 1, 1, 0
+    for x in (d, d - 4):
+        k = (x & -x).bit_length() - 1   # the power of 2 in x
+        fx, cx = _square_part(x >> k)
+        f, core, e = f * fx, core * cx, e + k
+    return f << (e // 2), core << (e % 2)
+
+
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Exact real number a + b*sqrt(root) with rational a, b.
@@ -409,6 +421,13 @@ class QuadraticSurd:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "root", root)
+
+    @classmethod
+    def _canonical(cls, a: Fraction, b: Fraction, root: int) -> "QuadraticSurd":
+        """Wrap parts already in canonical form, skipping __post_init__."""
+        surd = object.__new__(cls)
+        surd.__dict__.update(a=a, b=b, root=root)
+        return surd
 
     @staticmethod
     def from_rational(x) -> "QuadraticSurd":
@@ -492,14 +511,15 @@ def radius_closed_form(d: int) -> QuadraticSurd:
     """Exact spectral radius of the twist-tensor family at polarization degree d.
 
     Equals 1 for d <= 4 and (d - 2 + sqrt(d^2 - 4d)) / 2 for d >= 5. The
-    canonical surd takes time growing like sqrt(d) at d = p^2 with p and
-    p + 2 prime, and like d^(2/3) when d and d - 4 are both prime.
+    square part of d^2 - 4d = (d - 2)^2 - 4 (never a square) takes up to
+    about d^(1/3) / 2 trial divisions, when d and d - 4 are both prime.
     """
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise LatticeInputError("d must be a positive integer")
     if d <= 4:
         return QuadraticSurd.from_rational(1)
-    return QuadraticSurd(Fraction(d - 2, 2), Fraction(1, 2), d * d - 4 * d)
+    f, core = _closed_form_parts(d)
+    return QuadraticSurd._canonical(Fraction(d - 2, 2), Fraction(f, 2), core)
 
 
 # --- JSON interchange -------------------------------------------------------

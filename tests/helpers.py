@@ -335,7 +335,8 @@ def cofactor_char_poly(matrix) -> list[int]:
             denom *= Fraction(t0 - t)
         for j, c in enumerate(num):
             coeffs[j] += val * c / denom
-    assert all(c.denominator == 1 for c in coeffs)
+    if any(c.denominator != 1 for c in coeffs):
+        raise AssertionError("interpolated char poly is not integral")
     return [int(c) for c in coeffs]
 
 
@@ -401,7 +402,8 @@ def oracle_squarefree_part(p) -> list[int]:
         out = list(p)
     else:
         quot, rem = _frac_divmod(p, a)
-        assert rem == [0]
+        if rem != [0]:
+            raise AssertionError("gcd does not divide the polynomial")
         out = _frac_primitive(quot)
     return [-c for c in out] if out[-1] < 0 else out
 
@@ -461,9 +463,11 @@ def oracle_root_product_poly(p) -> list[int]:
             acc = [Fraction(0)] + acc
             for j in range(len(acc) - 1):
                 acc[j] -= pts[i] * acc[j + 1]
-    assert all(x.denominator == 1 for x in poly)
+    if any(x.denominator != 1 for x in poly):
+        raise AssertionError("pairwise-product polynomial is not integral")
     out = [int(x) for x in poly]
-    assert out[-1] == 1, "pairwise-product polynomial should be monic"
+    if out[-1] != 1:
+        raise AssertionError("pairwise-product polynomial should be monic")
     return out
 
 
@@ -622,7 +626,8 @@ def random_spherical(rng: random.Random, model: K3LatticeModel,
                      bound: int = 2) -> MukaiVector:
     """Random spherical class from a small box; (1, 0, 1) always qualifies."""
     candidates = spherical_classes_in_box(model, bound)
-    assert candidates, "the structure-sheaf class is always in the box"
+    if not candidates:
+        raise AssertionError("the structure-sheaf class is always in the box")
     return rng.choice(candidates)
 
 

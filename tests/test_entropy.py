@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import oracle_iterated_chi, oracle_radius_parts
-from mukai_entropy import entropy
+from mukai_entropy import entropy, spectral
 from mukai_entropy.entropy import (
     CurvePiece,
     EntropyCurve,
@@ -194,6 +194,20 @@ def test_ext_table_chi_matches_power_oracle():
                     assert iterated_chi(n, i, k, model) == expected
 
 
+@pytest.mark.parametrize("d, i, k", [(1, 1, 1), (7, 2, 3), (30, 3, 2)])
+def test_ext_rows_match_the_per_row_formulas(d, i, k):
+    # the running products and the fixed chi row against the per-row
+    # public formulas and power(phi, n)
+    table = ext_recursion_table(d, i, k, 250)
+    assert [row.n for row in table.rows] == list(range(251))
+    for row in table.rows:
+        n = row.n
+        assert (row.top_degree, row.vanishing_range) == (n + 2, (2, n + 2))
+        assert row.top_dim == ext_top_dim(n, i, k, d)
+        assert row.growth_bound == (d + 2) ** n == reference_growth_bound(n, d)
+        assert row.chi == oracle_iterated_chi(n, i, k, d)
+
+
 def test_ext_table_builds_phi_once(monkeypatch):
     built = []
     real = entropy.twist_tensor_action
@@ -223,10 +237,7 @@ def test_gap_reference_values():
         gy_gap(0)
 
 
-def test_gap_canonicalises_the_radius_surd_once(monkeypatch):
-    # in radius_closed_form only; the certificate is an integer comparison
-    from mukai_entropy import spectral
-
+def _count_square_parts(monkeypatch) -> list[int]:
     calls = []
     real = spectral._square_part
 
@@ -235,8 +246,43 @@ def test_gap_canonicalises_the_radius_surd_once(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(spectral, "_square_part", counting)
+    return calls
+
+
+def test_gap_canonicalises_the_radius_surd_once(monkeypatch):
+    # one square part for log_rho, taken from the odd parts 25 and 23 of
+    # d = 50 and d - 4 = 46, not from d^2 - 4d = 2300; the certificate is an
+    # integer comparison
+    calls = _count_square_parts(monkeypatch)
     assert gy_gap(50).certified
-    assert calls == [2300]
+    assert calls == [25, 23]
+
+
+def test_square_parts_never_see_more_than_d(monkeypatch):
+    # trial division runs on the odd parts of d and d - 4, never on
+    # d^2 - 4d, in gy_gap and in radius_closed_form alike
+    calls = _count_square_parts(monkeypatch)
+    for d in [*range(1, 300), *(2 ** k for k in range(3, 40)),
+              *(2 ** k + 4 for k in range(40)), 10 ** 6, 999_983]:
+        calls.clear()
+        gy_gap(d)
+        radius_closed_form(d)
+        assert all(0 < n <= d for n in calls), (d, calls)
+        assert len(calls) == (0 if d <= 4 else 4)
+
+
+def test_gap_at_two_to_the_61_minus_1():
+    # 2^61 - 1 is prime and 2^61 - 5 = 3 * 643 * 1195356666259043, so
+    # d^2 - 4d is squarefree; one trial-division pass over it runs to about
+    # 2^37 and did not finish in 120 s, the passes over the odd parts of d
+    # and d - 4 run to about 2^20
+    d = 2 ** 61 - 1
+    report = gy_gap(d)
+    assert report.certified
+    root = d * d - 4 * d
+    assert report.log_rho == math.log((d - 2) / 2 + 1 / 2 * math.sqrt(root))
+    # the floats round together at this size; the integer certificate holds
+    assert report.gap == report.lower_bound - report.log_rho
 
 
 def test_gap_certificate_agrees_with_surd_comparison():
@@ -247,8 +293,9 @@ def test_gap_certificate_agrees_with_surd_comparison():
 
 def test_radius_and_gap_bytes_match_the_two_scan_oracle():
     # the bytes bench/golden.json digests: str and float of the closed form,
-    # and every gy_gap field, rebuilt from the two-scan square part
-    for d in range(1, 3001):
+    # and every gy_gap field, rebuilt from the two-scan square part, for
+    # every d a benchmark sweep reaches
+    for d in range(1, 7101):
         a, b, root = oracle_radius_parts(d)
         text = str(a) if b == 0 else f"{a} + {b}*sqrt({root})"
         value = float(a) + float(b) * math.sqrt(root)

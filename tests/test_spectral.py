@@ -249,6 +249,46 @@ def test_square_part_brute_force_below_ten_to_the_five():
         assert f * f * rest == n and squarefree[rest], n
 
 
+def _next_cousin(n: int) -> int:
+    """The least d >= n with d and d - 4 both prime."""
+    while not (_is_prime(n) and _is_prime(n - 4)):
+        n += 1
+    return n
+
+
+_TWIN_LOWER = [p for p in range(3, 1000) if _is_prime(p) and _is_prime(p + 2)]
+
+# d <= 10^6 keeps the two-scan oracle on d^2 - 4d fast
+CLOSED_FORM_DEGREES = st.one_of(
+    st.integers(5, 10 ** 6),
+    # every residue mod 16, so every split of the factors of 2 of d, d - 4
+    st.builds(lambda q, r: 16 * q + r,
+              st.integers(1, 62_499), st.integers(0, 15)),
+    st.sampled_from([*(2 ** k for k in range(3, 20)),
+                     *(2 ** k + 4 for k in range(20))]),
+    # d = p^2, d - 4 = (p - 2)(p + 2) with p and p + 2 prime
+    st.sampled_from([p * p for p in _TWIN_LOWER]),
+    st.integers(11, 10 ** 6 - 5000).map(_next_cousin),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=CLOSED_FORM_DEGREES)
+def test_closed_form_parts_match_the_two_scan_oracle(d):
+    assert spectral._closed_form_parts(d) == oracle_square_part(d * d - 4 * d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=CLOSED_FORM_DEGREES)
+def test_closed_form_matches_the_public_constructor(d):
+    # the private canonical path against QuadraticSurd's own canonical form
+    exact = radius_closed_form(d)
+    public = QuadraticSurd(Fraction(d - 2, 2), Fraction(1, 2), d * d - 4 * d)
+    assert (repr(exact), str(exact)) == (repr(public), str(public))
+    assert all(type(x) is Fraction for x in (exact.a, exact.b))
+    assert type(exact.root) is int and exact.root > 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=st.one_of(st.integers(-50, 50), st.fractions(max_denominator=20)),
        b=st.one_of(st.integers(-50, 50), st.fractions(max_denominator=20)),
