@@ -29,10 +29,16 @@ _LABEL_CAP = 120
 class Isometry:
     """Integer matrix preserving the Mukai pairing, with a construction trace.
 
-    Construction checks M^T G M == G exactly, so an Isometry value is a proof
-    that the map is a lattice isometry. det M == +-1 follows and is not
-    re-checked: det(M)^2 det G = det G, and det G = -det NS != 0 because the
-    model's NS form has signature (1, rho-1).
+    Every value satisfies M^T G M == G. A matrix from outside (this
+    constructor, isometry_from_dict) is checked exactly; the module's own
+    constructions go through _proved, each an isometry by an identity: +-I
+    (identity, shift); the reflection in s with s^2 = -2 (twist), where
+    <v + <v,s>s, w + <w,s>s> = <v,w> + (2 + s^2)<v,s><w,s>; the Mukai
+    product with (1, D, D^2/2), integral as the NS diagonal is even
+    (tensor); (AB)^T G (AB) = B^T G B (compose, power); M^-T G M^-1 = G
+    with M^-1 integral, M being unimodular (inverse). det M == +-1 follows
+    and is not re-checked: det(M)^2 det G = det G, and det G = -det NS != 0
+    because the model's NS form has signature (1, rho-1).
     """
 
     model: K3LatticeModel
@@ -54,6 +60,12 @@ class Isometry:
         if gram_back != g:
             raise LatticeInputError("matrix does not preserve the Mukai pairing")
 
+    @classmethod
+    def _proved(cls, model: K3LatticeModel, matrix, label: str) -> Isometry:
+        a = object.__new__(cls)
+        a.__dict__.update(model=model, matrix=matrix, label=label)
+        return a
+
     def apply(self, v: MukaiVector) -> MukaiVector:
         if len(v.c) != self.model.picard_rank:
             raise LatticeInputError("vector rank does not match the model")
@@ -72,7 +84,7 @@ def _join_labels(a: str, b: str) -> str:
 
 
 def identity_action(model: K3LatticeModel) -> Isometry:
-    return Isometry(model, _linalg.identity(model.rank), "id")
+    return Isometry._proved(model, _linalg.identity(model.rank), "id")
 
 
 def spherical_twist_action(model: K3LatticeModel, s: MukaiVector) -> Isometry:
@@ -95,7 +107,7 @@ def spherical_twist_action(model: K3LatticeModel, s: MukaiVector) -> Isometry:
         )
         for i in range(n)
     )
-    return Isometry(model, mat, f"twist[{_fmt_vec(s)}]")
+    return Isometry._proved(model, mat, f"twist[{_fmt_vec(s)}]")
 
 
 def tensor_line_bundle_action(model: K3LatticeModel, divisor) -> Isometry:
@@ -119,7 +131,7 @@ def tensor_line_bundle_action(model: K3LatticeModel, divisor) -> Isometry:
     rows[n - 1][1:n - 1] = gd
     rows[n - 1][n - 1] = 1
     label = "tensor[(" + ",".join(str(x) for x in d_vec) + ")]"
-    return Isometry(model, tuple(tuple(r) for r in rows), label)
+    return Isometry._proved(model, tuple(tuple(r) for r in rows), label)
 
 
 def shift_action(model: K3LatticeModel, n: int) -> Isometry:
@@ -130,14 +142,14 @@ def shift_action(model: K3LatticeModel, n: int) -> Isometry:
         tuple(sign if i == j else 0 for j in range(model.rank))
         for i in range(model.rank)
     )
-    return Isometry(model, mat, f"shift[{n}]")
+    return Isometry._proved(model, mat, f"shift[{n}]")
 
 
 def compose(a: Isometry, b: Isometry) -> Isometry:
     """Apply b first, then a."""
     if a.model != b.model:
         raise LatticeInputError("cannot compose isometries of different models")
-    return Isometry(
+    return Isometry._proved(
         a.model, _linalg.mat_mul(a.matrix, b.matrix), _join_labels(a.label, b.label)
     )
 
@@ -148,16 +160,19 @@ def inverse(a: Isometry) -> Isometry:
     cols = _linalg.span_coordinates(
         _linalg.transpose(a.matrix), _linalg.identity(n)
     )
-    return Isometry(a.model, _linalg.transpose(cols), f"inverse[{a.label}]")
+    return Isometry._proved(a.model, _linalg.transpose(cols), f"inverse[{a.label}]")
 
 
 def power(a: Isometry, n: int) -> Isometry:
+    """a^n by binary powering, high bits first: about 2 log2|n| products."""
     n = _as_int(n, "power exponent")
-    base = a if n >= 0 else inverse(a)
+    base = (a if n >= 0 else inverse(a)).matrix
     result = _linalg.identity(a.model.rank)
-    for _ in range(abs(n)):
-        result = _linalg.mat_mul(result, base.matrix)
-    return Isometry(a.model, result, f"power[{a.label},{n}]")
+    for bit in bin(abs(n))[2:]:
+        result = _linalg.mat_mul(result, result)
+        if bit == "1":
+            result = _linalg.mat_mul(result, base)
+    return Isometry._proved(a.model, result, f"power[{a.label},{n}]")
 
 
 def polarization_degree(model: K3LatticeModel) -> int:
@@ -252,4 +267,4 @@ def isometry_from_dict(model: K3LatticeModel, data: dict) -> Isometry:
         ) from exc
     if rho != model.picard_rank:
         raise LatticeInputError("isometry picard_rank does not match the model")
-    return Isometry(model, tuple(tuple(row) for row in matrix), str(label))
+    return Isometry(model, matrix, str(label))

@@ -64,6 +64,14 @@ def oracle_pairing_matrix(model: K3LatticeModel, vectors):
     return tuple(tuple(oracle_pairing(model, a, b) for b in vs) for a in vs)
 
 
+def oracle_image_gram(model: K3LatticeModel, matrix):
+    """Pairings <M e_i, M e_j> of the columns of M, each by oracle_pairing."""
+    n = len(matrix)
+    columns = [MukaiVector.from_coords([matrix[k][i] for k in range(n)])
+               for i in range(n)]
+    return oracle_pairing_matrix(model, columns)
+
+
 def oracle_rank_one_square(d: int, v: MukaiVector) -> int:
     """2 d c^2 - 2 r m, the rank-one square formula."""
     return 2 * d * v.c[0] * v.c[0] - 2 * v.r * v.m

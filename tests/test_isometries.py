@@ -6,8 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     basis_spherical_class,
     fraction_det,
+    oracle_image_gram,
     oracle_invert_unimodular,
     oracle_ns_product,
+    oracle_pairing_matrix,
     oracle_restrict_to_sublattice,
     random_k3_model,
     random_spherical,
@@ -42,6 +44,7 @@ from mukai_entropy.lattice import (
     primitive_vector,
     rank_one_model,
     scale_vector,
+    structure_sheaf_vector,
 )
 
 V = MukaiVector
@@ -192,6 +195,21 @@ def test_compose_power_inverse():
         compose(tw, spherical_twist_action(rank_one_model(3), V(1, (0,), 1)))
 
 
+def test_power_matches_closed_forms_at_huge_exponents():
+    # closed forms that do not call power: tensor powers add divisors, and a
+    # twist is an involution
+    for model in (rank_one_model(3), K3LatticeModel(2, ((4, 1), (1, -2)))):
+        divisor = (2,) + (-1,) * (model.picard_rank - 1)
+        t = tensor_line_bundle_action(model, divisor)
+        big = power(t, 10**6)
+        assert big.matrix == tensor_line_bundle_action(
+            model, [10**6 * x for x in divisor]).matrix
+        assert big.label == f"power[{t.label},1000000]"
+        tw = spherical_twist_action(model, structure_sheaf_vector(model))
+        assert power(tw, 10**9 + 1).matrix == tw.matrix
+        assert power(tw, -(10**9)).matrix == identity_action(model).matrix
+
+
 def test_non_integer_divisor_and_exponent_are_rejected():
     m = rank_one_model(2)
     t = tensor_line_bundle_action(m, (-1,))
@@ -330,8 +348,8 @@ def test_pairing_preservation_random_composites():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_constructed_isometries_have_unit_determinant(seed):
-    # Isometry checks only M^T G M == G; det M == +-1 is re-derived here
-    # by rational elimination, independent of Bareiss
+    # the package never checks det M == +-1; it is re-derived here by
+    # rational elimination, independent of Bareiss
     rng = random.Random(seed)
     model = random_k3_model(rng, rng.randint(1, 3))
     action = identity_action(model)
@@ -364,6 +382,16 @@ def test_isometry_constructor_rejects_non_isometries():
         Isometry(m, ((2, 0, 0), (0, 1, 0), (0, 0, 1)), "bad")
     with pytest.raises(LatticeInputError):
         Isometry(m, ((1, 0), (0, 1)), "wrong size")
+    with pytest.raises(LatticeInputError, match="preserve"):
+        isometry_from_dict(m, {"matrix": [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+                               "picard_rank": 1})
+
+
+@pytest.mark.parametrize("matrix", [5, [5], None], ids=["int", "row", "null"])
+def test_isometry_from_dict_rejects_a_matrix_that_is_not_rows(matrix):
+    with pytest.raises(LatticeInputError):
+        isometry_from_dict(rank_one_model(2),
+                           {"matrix": matrix, "picard_rank": 1})
 
 
 def test_apply_checks_vector_rank():
@@ -519,3 +547,44 @@ def test_line_through_a_moved_vector_is_not_invariant(rho, seed):
         restrict_to_sublattice(twist, [v])
     with pytest.raises(InvarianceError):
         oracle_restrict_to_sublattice(twist, [v])
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=RANKS, seed=st.integers(0, 2**32 - 1))
+@example(rho=20, seed=5)
+def test_constructions_preserve_the_pairing_at_every_rank(rho, seed):
+    # the package does not re-check M^T G M == G on what it builds (see
+    # Isometry); this oracle, pairing the images of the basis vectors by
+    # index loops, is the evidence that every construction is an isometry
+    rng = random.Random(seed)
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 6))
+    word = _word(rng, model, [basis_spherical_class(rng, model)
+                              for _ in range(rng.randint(1, 4))])
+    parts = [
+        identity_action(model),
+        spherical_twist_action(model, basis_spherical_class(rng, model)),
+        spherical_twist_action(
+            model, word.apply(basis_spherical_class(rng, model))),
+        tensor_line_bundle_action(
+            model, [rng.randint(-3, 3) for _ in range(rho)]),
+        shift_action(model, rng.randint(-3, 3)),
+        twist_tensor_action(model),
+        word,
+    ]
+    built = parts + [
+        compose(rng.choice(parts), rng.choice(parts)),
+        inverse(word),
+        inverse(rng.choice(parts)),
+        power(word, rng.randint(-3, 3)),
+        power(rng.choice(parts), rng.randint(-5, 5)),
+    ]
+    n = model.rank
+    gram = oracle_pairing_matrix(
+        model, [V.from_coords([int(i == j) for j in range(n)])
+                for i in range(n)])
+    for a in built:
+        assert a.model is model
+        assert type(a.matrix) is tuple and len(a.matrix) == n
+        assert all(type(row) is tuple and len(row) == n for row in a.matrix)
+        assert all(type(x) is int for row in a.matrix for x in row)
+        assert oracle_image_gram(model, a.matrix) == gram, a.label
