@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
+from ._record import Record
 from .errors import LatticeInputError
 from .isometries import (
     Isometry,
@@ -39,8 +39,7 @@ def _positive_int(x, what: str) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class CurvePiece:
+class CurvePiece(Record):
     """Affine piece slope*t + intercept on (lower, upper]; None means infinite."""
 
     lower: Fraction | None
@@ -48,6 +47,13 @@ class CurvePiece:
     slope: Fraction
     intercept: Fraction
     proven: bool
+
+    def __init__(self, lower, upper, slope, intercept, proven):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "proven", proven)
 
     def value_at(self, t: Fraction) -> Fraction:
         return self.slope * t + self.intercept
@@ -60,8 +66,7 @@ class CurvePiece:
         return True
 
 
-@dataclass(frozen=True)
-class EntropyCurve:
+class EntropyCurve(Record):
     """Piecewise-linear function of the real parameter t.
 
     Pieces tile the line and agree at their breakpoints, so eval is total and
@@ -70,9 +75,8 @@ class EntropyCurve:
 
     pieces: tuple[CurvePiece, ...]
 
-    def __post_init__(self):
-        ps = tuple(self.pieces)
-        object.__setattr__(self, "pieces", ps)
+    def __init__(self, pieces):
+        ps = tuple(pieces)
         if not ps:
             raise LatticeInputError("curve needs at least one piece")
         if ps[0].lower is not None or ps[-1].upper is not None:
@@ -83,6 +87,7 @@ class EntropyCurve:
             b = left.upper
             if left.value_at(b) != right.value_at(b):
                 raise LatticeInputError(f"curve is discontinuous at t={b}")
+        object.__setattr__(self, "pieces", ps)
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -179,8 +184,7 @@ def iterated_chi(n: int, i: int, k: int, model: K3LatticeModel) -> int:
     return ext_recursion_table(model.ns_gram[0][0] // 2, i, k, n).rows[n].chi
 
 
-@dataclass(frozen=True)
-class ExtTableRow:
+class ExtTableRow(Record):
     n: int
     top_degree: int
     top_dim: int
@@ -188,15 +192,29 @@ class ExtTableRow:
     chi: int
     vanishing_range: tuple[int, int]
 
+    def __init__(self, n, top_degree, top_dim, growth_bound, chi,
+                 vanishing_range):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "top_degree", top_degree)
+        object.__setattr__(self, "top_dim", top_dim)
+        object.__setattr__(self, "growth_bound", growth_bound)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "vanishing_range", vanishing_range)
 
-@dataclass(frozen=True)
-class ExtRecursionTable:
+
+class ExtRecursionTable(Record):
     """Tabulated Ext growth for fixed (d, i, k) up to an iteration cap."""
 
     d: int
     i: int
     k: int
     rows: tuple[ExtTableRow, ...]
+
+    def __init__(self, d, i, k, rows):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "rows", rows)
 
 
 def ext_recursion_table(d: int, i: int, k: int, n_max: int) -> ExtRecursionTable:
@@ -227,8 +245,7 @@ def ext_recursion_table(d: int, i: int, k: int, n_max: int) -> ExtRecursionTable
     return ExtRecursionTable(d, i, k, tuple(rows))
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(Record):
     """Entropy lower bound versus lattice radius for one polarization degree.
 
     `certified` records that d + 2 > radius was established by an exact
@@ -240,6 +257,13 @@ class GapReport:
     log_rho: float
     gap: float
     certified: bool
+
+    def __init__(self, d, lower_bound, log_rho, gap, certified):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "lower_bound", lower_bound)
+        object.__setattr__(self, "log_rho", log_rho)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "certified", certified)
 
 
 def gy_gap(d: int) -> GapReport:

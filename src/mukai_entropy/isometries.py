@@ -9,9 +9,9 @@ matching functor composition, so composing needs no transposes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from . import _linalg
+from ._record import Record
 from .errors import InvarianceError, LatticeInputError
 from .lattice import (
     K3LatticeModel,
@@ -23,10 +23,10 @@ from .lattice import (
 )
 
 _LABEL_CAP = 120
+_POWER_BITS_CAP = 1 << 13   # entry size power refuses past; see power
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Record):
     """Integer matrix preserving the Mukai pairing, with a construction trace.
 
     Every value satisfies M^T G M == G. A matrix from outside (this
@@ -45,20 +45,22 @@ class Isometry:
     matrix: tuple[tuple[int, ...], ...]
     label: str
 
-    def __post_init__(self):
-        n = self.model.rank
-        mat = _linalg.to_int_matrix(self.matrix)
-        object.__setattr__(self, "matrix", mat)
+    def __init__(self, model, matrix, label):
+        n = model.rank
+        mat = _linalg.to_int_matrix(matrix)
         if len(mat) != n or any(len(row) != n for row in mat):
             raise LatticeInputError(
                 f"isometry matrix must be {n}x{n} for this model"
             )
-        g = self.model.mukai_gram
+        g = model.mukai_gram
         gram_back = _linalg.mat_mul(
             _linalg.mat_mul(_linalg.transpose(mat), g), mat
         )
         if gram_back != g:
             raise LatticeInputError("matrix does not preserve the Mukai pairing")
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "label", label)
 
     @classmethod
     def _proved(cls, model: K3LatticeModel, matrix, label: str) -> Isometry:
@@ -164,12 +166,24 @@ def inverse(a: Isometry) -> Isometry:
 
 
 def power(a: Isometry, n: int) -> Isometry:
-    """a^n by binary powering, high bits first: about 2 log2|n| products."""
+    """a^n by binary powering, high bits first: about 2 log2|n| products.
+
+    The entries of a^n have about |n| log2(radius) bits, so for a radius
+    above 1 the work grows with n without bound. After each squaring an
+    entry past 2^13 bits (2467 decimal digits) raises LatticeInputError:
+    every entry stays under Python's default 4300-digit limit on int to str,
+    and at Mukai rank 22 the squaring that passes the cap takes about 1 s.
+    Isometries of radius 1, such as twists and tensors, have entries
+    polynomial in n and reach exponents far past 10^9.
+    """
     n = _as_int(n, "power exponent")
     base = (a if n >= 0 else inverse(a)).matrix
     result = _linalg.identity(a.model.rank)
     for bit in bin(abs(n))[2:]:
         result = _linalg.mat_mul(result, result)
+        if max(x.bit_length() for row in result for x in row) > _POWER_BITS_CAP:
+            raise LatticeInputError(
+                f"power entries pass {_POWER_BITS_CAP} bits; exponent too large")
         if bit == "1":
             result = _linalg.mat_mul(result, base)
     return Isometry._proved(a.model, result, f"power[{a.label},{n}]")
@@ -265,6 +279,9 @@ def isometry_from_dict(model: K3LatticeModel, data: dict) -> Isometry:
         raise LatticeInputError(
             "isometry JSON needs keys 'matrix' and 'picard_rank'"
         ) from exc
-    if rho != model.picard_rank:
+    if _as_int(rho, "picard_rank") != model.picard_rank:
         raise LatticeInputError("isometry picard_rank does not match the model")
-    return Isometry(model, matrix, str(label))
+    if not isinstance(label, str):
+        raise LatticeInputError(
+            f"isometry label must be a string, got {_linalg.short_repr(label)}")
+    return Isometry(model, matrix, label)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 from . import _linalg
+from ._record import Record
 from .errors import LatticeInputError
 
 
@@ -28,32 +28,34 @@ def _as_int(x, what: str) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Inertia counts (positive, negative, zero) of a symmetric form."""
 
     n_plus: int
     n_minus: int
     n_zero: int
 
+    def __init__(self, n_plus, n_minus, n_zero):
+        object.__setattr__(self, "n_plus", n_plus)
+        object.__setattr__(self, "n_minus", n_minus)
+        object.__setattr__(self, "n_zero", n_zero)
+
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_plus, self.n_minus, self.n_zero)
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(Record):
     """Integer class (r, c, m) with c the NS coordinate tuple."""
 
     r: int
     c: tuple[int, ...]
     m: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", _as_int(self.r, "r"))
-        object.__setattr__(self, "m", _as_int(self.m, "m"))
-        object.__setattr__(
-            self, "c", tuple(_as_int(x, "c entry") for x in self.c)
-        )
+    def __init__(self, r, c, m):
+        r, m = _as_int(r, "r"), _as_int(m, "m")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c", tuple(_as_int(x, "c entry") for x in c))
+        object.__setattr__(self, "m", m)
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -67,26 +69,23 @@ class MukaiVector:
         return MukaiVector(seq[0], tuple(seq[1:-1]), seq[-1])
 
 
-@dataclass(frozen=True)
-class K3LatticeModel:
+class K3LatticeModel(Record):
     """Picard rank plus NS Gram matrix; induces the rank rho+2 Mukai form.
 
     The NS form must be even and of hyperbolic signature (1, rho-1), the
     shape carried by the Neron-Severi lattice of any projective K3 surface.
+    The attribute mukai_gram, the Gram matrix of the Mukai form, is built
+    here from ns_gram and is not a field: ==, hash and repr leave it out.
     """
 
     picard_rank: int
     ns_gram: tuple[tuple[int, ...], ...]
-    mukai_gram: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        rho = _as_int(self.picard_rank, "picard_rank")
+    def __init__(self, picard_rank, ns_gram):
+        rho = _as_int(picard_rank, "picard_rank")
         if rho < 1:
             raise LatticeInputError("picard_rank must be positive")
-        gram = _linalg.to_int_matrix(self.ns_gram)
-        object.__setattr__(self, "ns_gram", gram)
+        gram = _linalg.to_int_matrix(ns_gram)
         if len(gram) != rho or any(len(row) != rho for row in gram):
             raise LatticeInputError("ns_gram must be picard_rank x picard_rank")
         if not _linalg.is_square_symmetric(gram):
@@ -99,6 +98,8 @@ class K3LatticeModel:
                 f"ns_gram must have signature (1, {rho - 1}), "
                 f"got ({plus}, {minus}, {zero})"
             )
+        object.__setattr__(self, "picard_rank", rho)
+        object.__setattr__(self, "ns_gram", gram)
         object.__setattr__(self, "mukai_gram", _build_mukai_gram(gram))
 
     @property

@@ -12,9 +12,9 @@ but finitely many N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _linalg
+from ._record import Record
 from .errors import LatticeInputError, SearchExhaustedError
 from .lattice import (
     K3LatticeModel,
@@ -37,19 +37,18 @@ from .lattice import (
 _PERTURBATION_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Rank2Form:
+class Rank2Form(Record):
     """Gram matrix of the span of two Mukai classes."""
 
     gram: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        g = _linalg.to_int_matrix(self.gram)
-        object.__setattr__(self, "gram", g)
+    def __init__(self, gram):
+        g = _linalg.to_int_matrix(gram)
         if len(g) != 2 or any(len(row) != 2 for row in g):
             raise LatticeInputError("rank-2 form needs a 2x2 matrix")
         if g[0][1] != g[1][0]:
             raise LatticeInputError("rank-2 form must be symmetric")
+        object.__setattr__(self, "gram", g)
 
 
 def rank2_form(model: K3LatticeModel, s: MukaiVector,
@@ -195,8 +194,7 @@ def _anisotropic_combination(model, basis):
     return None
 
 
-@dataclass(frozen=True)
-class SignatureReport:
+class SignatureReport(Record):
     """Inertia bookkeeping around a spherical class.
 
     The ambient Mukai form has signature (2, rho): the model enforces NS
@@ -212,6 +210,12 @@ class SignatureReport:
     s_line: Signature
     s_perp: Signature
     extended: Signature | None
+
+    def __init__(self, full, s_line, s_perp, extended):
+        object.__setattr__(self, "full", full)
+        object.__setattr__(self, "s_line", s_line)
+        object.__setattr__(self, "s_perp", s_perp)
+        object.__setattr__(self, "extended", extended)
 
 
 def signature_report(model: K3LatticeModel, s: MukaiVector,

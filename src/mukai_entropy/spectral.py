@@ -26,36 +26,35 @@ the package or running any other function does not load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
+from ._record import Record
 from .errors import CertificationError, LatticeInputError
 
 # Polynomials are ascending integer coefficient lists.
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Record):
     """Monic integer characteristic polynomial, coefficients ascending."""
 
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        for c in self.coeffs:
+    def __init__(self, coeffs):
+        for c in coeffs:
             if isinstance(c, bool) or not isinstance(c, int):
                 raise LatticeInputError("coefficients must be integers")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs or self.coeffs[-1] not in (1, -1):
+        coeffs = tuple(coeffs)
+        if not coeffs or coeffs[-1] not in (1, -1):
             raise LatticeInputError("leading coefficient must be +-1")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class CertifiedRadius:
+class CertifiedRadius(Record):
     """Spectral radius bracketed by exact rational bounds.
 
     Every eigenvalue modulus is <= hi and at least one is >= lo; the float
@@ -67,11 +66,15 @@ class CertifiedRadius:
     hi: Fraction
     tolerance: float
 
-    def __post_init__(self):
-        if not (self.lo <= self.hi):
+    def __init__(self, value, lo, hi, tolerance):
+        if not (lo <= hi):
             raise CertificationError("certified interval is inverted")
-        if self.hi - self.lo > Fraction(self.tolerance):
+        if hi - lo > Fraction(tolerance):
             raise CertificationError("certified interval wider than tolerance")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "tolerance", tolerance)
 
 
 def _check_square_int(matrix) -> tuple[tuple[int, ...], ...]:
@@ -388,8 +391,7 @@ def _closed_form_parts(d: int) -> tuple[int, int]:
     return f << (e // 2), core << (e % 2)
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
+class QuadraticSurd(Record):
     """Exact real number a + b*sqrt(root) with rational a, b.
 
     Canonical form: square factors are pulled out of the int root by one
@@ -403,10 +405,9 @@ class QuadraticSurd:
     b: Fraction
     root: int
 
-    def __post_init__(self):
-        a = self.a if type(self.a) is Fraction else Fraction(self.a)
-        b = self.b if type(self.b) is Fraction else Fraction(self.b)
-        root = self.root
+    def __init__(self, a, b, root):
+        a = a if type(a) is Fraction else Fraction(a)
+        b = b if type(b) is Fraction else Fraction(b)
         if isinstance(root, bool) or not isinstance(root, int) or root < 0:
             raise LatticeInputError("surd root must be a non-negative integer")
         if b != 0 and root > 1:
@@ -424,7 +425,7 @@ class QuadraticSurd:
 
     @classmethod
     def _canonical(cls, a: Fraction, b: Fraction, root: int) -> "QuadraticSurd":
-        """Wrap parts already in canonical form, skipping __post_init__."""
+        """Wrap parts already in canonical form, skipping __init__."""
         surd = object.__new__(cls)
         surd.__dict__.update(a=a, b=b, root=root)
         return surd

@@ -394,6 +394,34 @@ def test_isometry_from_dict_rejects_a_matrix_that_is_not_rows(matrix):
                            {"matrix": matrix, "picard_rank": 1})
 
 
+@pytest.mark.parametrize("rho", [True, 1.0, "1", None])
+def test_isometry_from_dict_takes_picard_rank_as_a_strict_int(rho):
+    data = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "picard_rank": rho}
+    with pytest.raises(LatticeInputError, match="picard_rank"):
+        isometry_from_dict(rank_one_model(2), data)
+
+
+@pytest.mark.parametrize("label", [["x", "x"], 7, None, {"a": 1}])
+def test_isometry_from_dict_refuses_a_label_that_is_not_a_string(label):
+    data = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "picard_rank": 1,
+            "label": label}
+    with pytest.raises(LatticeInputError, match="label"):
+        isometry_from_dict(rank_one_model(2), data)
+    del data["label"]
+    assert isometry_from_dict(rank_one_model(2), data).label == "loaded"
+
+
+def test_power_refuses_entries_past_the_bit_cap():
+    phi = twist_tensor_action(rank_one_model(7))
+    # radius (5 + sqrt(21)) / 2, about 2.26 bits per step: 3000 steps stay
+    # under 2^13 bits, 10^6 steps would need about 2.26 million
+    assert max(x.bit_length() for row in power(phi, 3000).matrix
+               for x in row) < 2**13
+    for n in (4000, 10**6, -(10**6), 10**100):
+        with pytest.raises(LatticeInputError, match="bits"):
+            power(phi, n)
+
+
 def test_apply_checks_vector_rank():
     m = rank_one_model(2)
     with pytest.raises(LatticeInputError):

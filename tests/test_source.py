@@ -76,6 +76,26 @@ def test_no_module_imports_numpy_at_import_time():
     assert found == []
 
 
+def test_no_module_imports_dataclasses():
+    # the value types derive from _record.Record: importing dataclasses pulls
+    # in inspect, ast, dis and tokenize, and processing the classes execs
+    # every generated method, about 30 ms of every process start together
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _modules_after(code: str) -> set[str]:
     """Names in sys.modules after running code in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -87,22 +107,33 @@ def _modules_after(code: str) -> set[str]:
     return set(done.stdout.split())
 
 
+CLI_CALLS = (
+    "import io, contextlib\n"
+    "import mukai_entropy, mukai_entropy.cli as cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    for argv in (\n"
+    "        ['char-poly', '--matrix', '[[2,1],[1,1]]'],\n"
+    "        ['gy-gap', '--d-min', '5', '--d-max', '7'],\n"
+    "        ['complement-search', '--lattice',\n"
+    "         '{\"picard_rank\":1,\"ns_gram\":[[4]]}',\n"
+    "         '--s', '{\"r\":1,\"c\":[0],\"m\":1}', '--bound', '2'],\n"
+    "    ):\n"
+    "        assert cli.main(argv) == 0, argv\n"
+)
+
+
 def test_package_and_cli_calls_do_not_load_numpy():
-    modules = _modules_after(
-        "import io, contextlib\n"
-        "import mukai_entropy, mukai_entropy.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for argv in (\n"
-        "        ['char-poly', '--matrix', '[[2,1],[1,1]]'],\n"
-        "        ['gy-gap', '--d-min', '5', '--d-max', '7'],\n"
-        "        ['complement-search', '--lattice',\n"
-        "         '{\"picard_rank\":1,\"ns_gram\":[[4]]}',\n"
-        "         '--s', '{\"r\":1,\"c\":[0],\"m\":1}', '--bound', '2'],\n"
-        "    ):\n"
-        "        assert cli.main(argv) == 0, argv\n"
-    )
+    modules = _modules_after(CLI_CALLS)
     assert "mukai_entropy.cli" in modules
     assert "numpy" not in modules
+
+
+def test_package_and_cli_calls_do_not_load_dataclasses_or_inspect():
+    # only modules past a bare start count: site-packages .pth files may
+    # load some stdlib modules (typing, re) before any code runs
+    loaded = _modules_after(CLI_CALLS) - _modules_after("")
+    assert "mukai_entropy.cli" in loaded
+    assert {"dataclasses", "inspect"} & loaded == set()
 
 
 def test_spectral_radius_still_takes_the_float_seed():
