@@ -16,39 +16,10 @@ import sys
 from fractions import Fraction
 
 from ._linalg import short_repr
-from .entropy import (
-    ext_recursion_table,
-    ext_top_dim,
-    gy_gap,
-    twist_entropy_curve,
-)
 from .errors import (
     CertificationError,
     LatticeInputError,
     SearchExhaustedError,
-)
-from .isometries import (
-    isometry_to_dict,
-    polarized_sublattice_basis,
-    restrict_to_sublattice,
-    spherical_twist_action,
-    twist_tensor_action,
-)
-from .lattice import (
-    euler_pairing,
-    model_from_dict,
-    model_to_dict,
-    mukai_pairing,
-    rank_one_model,
-    vector_from_dict,
-)
-from .orthosearch import find_positive_orthogonal, search_report
-from .spectral import (
-    char_poly,
-    charpoly_to_dict,
-    matrix_from_obj,
-    radius_to_dict,
-    spectral_radius,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -128,10 +99,12 @@ def _load_json_arg(value: str):
 
 
 def _load_model(path: str):
+    from .lattice import model_from_dict
     return model_from_dict(_load_json_arg(path))
 
 
 def _load_vector(value: str):
+    from .lattice import vector_from_dict
     return vector_from_dict(_load_json_arg(value))
 
 
@@ -175,8 +148,11 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
 
 
 # --- subcommand handlers -----------------------------------------------------
+# Each handler imports what it runs when it runs, so a call compiles and
+# executes only the modules of its own subcommand.
 
 def _cmd_lattice_check(args) -> str:
+    from .lattice import model_to_dict
     model = _load_model(args.gram)
     # the model enforces NS signature (1, rho-1); H^0 + H^4 adds (1, 1)
     print(
@@ -188,6 +164,7 @@ def _cmd_lattice_check(args) -> str:
 
 
 def _cmd_pair(args) -> str:
+    from .lattice import euler_pairing, mukai_pairing
     model = _load_model(args.lattice)
     v = _load_vector(args.v)
     w = _load_vector(args.w)
@@ -199,6 +176,7 @@ def _cmd_pair(args) -> str:
 
 
 def _cmd_twist(args) -> str:
+    from .isometries import isometry_to_dict, spherical_twist_action
     model = _load_model(args.lattice)
     s = _load_vector(args.s)
     action = spherical_twist_action(model, s)
@@ -206,6 +184,13 @@ def _cmd_twist(args) -> str:
 
 
 def _cmd_phi_h(args) -> str:
+    from .isometries import (
+        isometry_to_dict,
+        polarized_sublattice_basis,
+        restrict_to_sublattice,
+        twist_tensor_action,
+    )
+    from .lattice import rank_one_model
     d = args.d
     if d < 1:
         raise LatticeInputError("--d must be a positive integer")
@@ -226,11 +211,13 @@ def _cmd_phi_h(args) -> str:
 
 
 def _cmd_char_poly(args) -> str:
+    from .spectral import char_poly, charpoly_to_dict, matrix_from_obj
     matrix = matrix_from_obj(_load_json_arg(args.matrix))
     return _dump_json(charpoly_to_dict(char_poly(matrix))) + "\n"
 
 
 def _cmd_spectral_radius(args) -> str:
+    from .spectral import matrix_from_obj, radius_to_dict, spectral_radius
     matrix = matrix_from_obj(_load_json_arg(args.matrix))
     tol = args.tol if args.tol is not None else _default_tolerance()
     radius = spectral_radius(matrix, tol)
@@ -238,6 +225,7 @@ def _cmd_spectral_radius(args) -> str:
 
 
 def _cmd_gy_gap(args) -> str:
+    from .entropy import gy_gap
     if args.d_min < 1 or args.d_max < args.d_min:
         raise LatticeInputError("need 1 <= d-min <= d-max")
     if args.d_max > MAX_GY_D:
@@ -262,6 +250,7 @@ def _cmd_gy_gap(args) -> str:
 
 
 def _cmd_entropy_curve(args) -> str:
+    from .entropy import twist_entropy_curve
     if args.spherical_dim < 1:
         raise LatticeInputError("--spherical-dim must be positive")
     curve = twist_entropy_curve(args.spherical_dim, args.complement == "yes")
@@ -295,6 +284,7 @@ def _cmd_entropy_curve(args) -> str:
 
 
 def _cmd_ext_recursion(args) -> str:
+    from .entropy import ext_recursion_table, ext_top_dim
     d, i, k, n_max = args.d, args.i, args.k, args.n_max
     limit = _int_digit_limit()
     if limit and min(d, i, k, n_max + 1) >= 1:
@@ -313,6 +303,7 @@ def _cmd_ext_recursion(args) -> str:
 
 
 def _cmd_complement_search(args) -> str:
+    from .orthosearch import find_positive_orthogonal, search_report
     model = _load_model(args.lattice)
     s = _load_vector(args.s)
     v = find_positive_orthogonal(model, s, args.bound)

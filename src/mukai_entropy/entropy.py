@@ -20,17 +20,9 @@ from fractions import Fraction
 from . import _linalg
 from ._record import Record
 from .errors import LatticeInputError
-from .isometries import (
-    Isometry,
-    tensor_line_bundle_action,
-    twist_tensor_action,
-)
-from .lattice import (
-    K3LatticeModel,
-    rank_one_model,
-    structure_sheaf_vector,
-)
-from .spectral import _closed_form_parts, spectral_radius
+
+# isometries, lattice and spectral are imported by the functions that use
+# them when they run: twist_entropy_curve needs none of them
 
 
 def _positive_int(x, what: str) -> int:
@@ -114,8 +106,10 @@ def twist_entropy_curve(spherical_dim: int,
     0 is only an upper bound and the piece is flagged unproven.
     """
     d = _positive_int(spherical_dim, "spherical_dim")
+    if not isinstance(complement_nonempty, bool):
+        raise LatticeInputError("complement_nonempty must be True or False")
     zero = Fraction(0)
-    right_proven = d == 1 or bool(complement_nonempty)
+    right_proven = d == 1 or complement_nonempty
     return EntropyCurve((
         CurvePiece(None, zero, Fraction(1 - d), zero, True),
         CurvePiece(zero, None, zero, zero, right_proven),
@@ -167,12 +161,13 @@ def reference_growth_bound(n: int, d: int) -> int:
     return (d + 2) ** n
 
 
-def iterated_chi(n: int, i: int, k: int, model: K3LatticeModel) -> int:
+def iterated_chi(n: int, i: int, k: int, model) -> int:
     """Euler pairing against the n-th twist-tensor iterate, purely on the lattice.
 
-    Consistency oracle for the Ext recursion: the induced isometry applied n
-    times to the class of O(-i H), tensored by -k H and paired with the
-    structure-sheaf class. This is the chi of row n of `ext_recursion_table`.
+    Consistency oracle for the Ext recursion: the induced isometry of the
+    rank-one K3LatticeModel `model` applied n times to the class of O(-i H),
+    tensored by -k H and paired with the structure-sheaf class. This is the
+    chi of row n of `ext_recursion_table`.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise LatticeInputError("n must be a non-negative integer")
@@ -226,6 +221,8 @@ def ext_recursion_table(d: int, i: int, k: int, n_max: int) -> ExtRecursionTable
     k = _positive_int(k, "k")
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
         raise LatticeInputError("n_max must be a non-negative integer")
+    from .isometries import tensor_line_bundle_action, twist_tensor_action
+    from .lattice import rank_one_model, structure_sheaf_vector
     model = rank_one_model(d)
     phi = twist_tensor_action(model).matrix
     tensor_k = tensor_line_bundle_action(model, (-k,)).matrix
@@ -266,6 +263,14 @@ class GapReport(Record):
         object.__setattr__(self, "certified", certified)
 
 
+def _closed_form_parts(d: int) -> tuple[int, int]:
+    # the first call imports spectral and rebinds this name to
+    # spectral._closed_form_parts, so a gy_gap sweep runs no import per row
+    global _closed_form_parts
+    from .spectral import _closed_form_parts
+    return _closed_form_parts(d)
+
+
 def gy_gap(d: int) -> GapReport:
     """Gap log(d+2) - log(radius) of the twist-tensor family, certified positive."""
     d = _positive_int(d, "d")
@@ -280,15 +285,15 @@ def gy_gap(d: int) -> GapReport:
     return GapReport(d, lower, log_rho, lower - log_rho, certified)
 
 
-def entropy_lower_bound_from_radius(action: Isometry,
-                                    tolerance: float = 1e-9) -> float:
+def entropy_lower_bound_from_radius(action, tolerance: float = 1e-9) -> float:
     """A float at most log of the spectral radius; a lower bound for the
-    entropy of any categorical lift of the isometry.
+    entropy of any categorical lift of the Isometry `action`.
 
     Taken from the certified lower end of the radius bracket: a float at
     most lo, then its log stepped one ulp down to absorb the rounding of
     math.log.
     """
+    from .spectral import spectral_radius
     lo = spectral_radius(action.matrix, tolerance).lo
     x = float(lo)
     if Fraction(x) > lo:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mukai_entropy import cli
+from mukai_entropy import cli, entropy, orthosearch, spectral
 from mukai_entropy.cli import main
 from mukai_entropy.lattice import model_from_dict, vector_from_dict
 from mukai_entropy.isometries import isometry_from_dict
@@ -171,7 +171,7 @@ def test_gy_gap_refuses_d_past_cap(monkeypatch):
     def refuse(d):
         raise AssertionError("gy_gap ran before the bounds were checked")
 
-    monkeypatch.setattr(cli, "gy_gap", refuse)
+    monkeypatch.setattr(entropy, "gy_gap", refuse)
     for d_min, d_max in ((1, cli.MAX_GY_D + 1), (10 ** 18, 10 ** 18)):
         code, _, err = run_cli("gy-gap", "--d-min", str(d_min),
                                "--d-max", str(d_max))
@@ -179,7 +179,7 @@ def test_gy_gap_refuses_d_past_cap(monkeypatch):
 
 
 def test_gy_gap_row_cap(monkeypatch):
-    monkeypatch.setattr(cli, "gy_gap", None)  # refused before any row
+    monkeypatch.setattr(entropy, "gy_gap", None)  # refused before any row
     code, _, err = run_cli("gy-gap", "--d-min", "1",
                            "--d-max", str(cli.MAX_CURVE_ROWS + 1))
     assert code == 2 and "rows" in err
@@ -342,7 +342,7 @@ def test_ext_recursion_refuses_long_table_before_building(digit_limit,
     def no_table(*args):
         raise AssertionError("table built")
 
-    monkeypatch.setattr(cli, "ext_recursion_table", no_table)
+    monkeypatch.setattr(entropy, "ext_recursion_table", no_table)
     for n_max in ("4500", "10" + "0" * 4000):
         code, out, err = run_cli(
             "ext-recursion", "--d", "10", "--i", "1", "--k", "1",
@@ -442,20 +442,19 @@ def test_unknown_subcommand_exits_two():
 
 
 def test_exit_codes_for_certification_and_search_failures(monkeypatch):
-    import mukai_entropy.cli as cli
     from mukai_entropy.errors import CertificationError, SearchExhaustedError
 
     def certify_fail(*args, **kwargs):
         raise CertificationError("forced")
 
-    monkeypatch.setattr(cli, "spectral_radius", certify_fail)
+    monkeypatch.setattr(spectral, "spectral_radius", certify_fail)
     code, _, err = run_cli("spectral-radius", "--matrix", "[[1]]")
     assert code == 3 and "certification" in err
 
     def search_fail(*args, **kwargs):
         raise SearchExhaustedError("forced")
 
-    monkeypatch.setattr(cli, "find_positive_orthogonal", search_fail)
+    monkeypatch.setattr(orthosearch, "find_positive_orthogonal", search_fail)
     code, _, err = run_cli(
         "complement-search", "--lattice", MODEL_D2, "--s", SPHERE
     )

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import oracle_iterated_chi, oracle_radius_parts
-from mukai_entropy import entropy, spectral
+from mukai_entropy import isometries, spectral
 from mukai_entropy.entropy import (
     CurvePiece,
     EntropyCurve,
@@ -79,6 +79,13 @@ def test_curve_validation():
         ))
     with pytest.raises(LatticeInputError):
         twist_entropy_curve(0, True)
+
+
+@pytest.mark.parametrize("flag", ["no", "unknown", [0], 1, None])
+def test_curve_complement_flag_must_be_a_bool(flag):
+    # a truthy non-bool once made the t > 0 piece proven
+    with pytest.raises(LatticeInputError):
+        twist_entropy_curve(2, flag)
 
 
 def test_h0_values():
@@ -209,13 +216,13 @@ def test_ext_rows_match_the_per_row_formulas(d, i, k):
 
 def test_ext_table_builds_phi_once(monkeypatch):
     built = []
-    real = entropy.twist_tensor_action
+    real = isometries.twist_tensor_action
 
     def counting(model):
         built.append(model)
         return real(model)
 
-    monkeypatch.setattr(entropy, "twist_tensor_action", counting)
+    monkeypatch.setattr(isometries, "twist_tensor_action", counting)
     table = ext_recursion_table(3, 1, 2, 50)
     assert len(table.rows) == 51
     assert len(built) == 1

@@ -1,10 +1,16 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import mukai_entropy
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mukai_entropy"
 
@@ -27,9 +33,8 @@ def test_no_bare_assert_in_src():
 
 
 def test_no_unused_import_in_src():
-    # every name a module-level import binds is read somewhere in the module;
-    # __init__.py is skipped, its imports are the public re-exports
-    files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    # every name a module-level import binds is read somewhere in the module
+    files = sorted(SRC.glob("*.py"))
     assert files
     found = []
     for path in files:
@@ -96,15 +101,21 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
-def _modules_after(code: str) -> set[str]:
-    """Names in sys.modules after running code in a fresh interpreter."""
+def _stdout_of(code: str) -> str:
+    """What code prints when run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    script = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True,
+        [sys.executable, "-c", code], env=env, capture_output=True,
         text=True, check=True,
     )
-    return set(done.stdout.split())
+    return done.stdout
+
+
+def _modules_after(code: str) -> set[str]:
+    """Names in sys.modules after running code in a fresh interpreter."""
+    return set(_stdout_of(
+        code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
+    ).split())
 
 
 CLI_CALLS = (
@@ -142,3 +153,130 @@ def test_spectral_radius_still_takes_the_float_seed():
         "spectral_radius([[2, 1], [1, 1]])\n"
     )
     assert "numpy" in modules
+
+
+# The public names, by home module, that the package exported when its
+# __init__.py imported every submodule eagerly.
+PUBLIC = {
+    "errors": [
+        "CertificationError", "InvarianceError", "LatticeInputError",
+        "SearchExhaustedError",
+    ],
+    "lattice": [
+        "K3LatticeModel", "MukaiVector", "Signature",
+        "doubled_square_is_nonsquare", "euler_pairing", "is_spherical_class",
+        "line_bundle_vector", "model_from_dict", "model_to_dict",
+        "mukai_pairing", "orthogonal_complement_basis", "pairing_matrix",
+        "rank_one_model", "signature_of", "square", "structure_sheaf_vector",
+        "vector_from_dict", "vector_to_dict",
+    ],
+    "isometries": [
+        "Isometry", "compose", "fixes_pointwise", "identity_action",
+        "inverse", "isometry_from_dict", "isometry_to_dict",
+        "polarized_sublattice_basis", "power", "restrict_to_sublattice",
+        "shift_action", "spherical_twist_action", "tensor_line_bundle_action",
+        "twist_tensor_action",
+    ],
+    "spectral": [
+        "CertifiedRadius", "CharPoly", "QuadraticSurd", "char_poly",
+        "radius_closed_form", "spectral_radius",
+    ],
+    "entropy": [
+        "EntropyCurve", "ExtRecursionTable", "GapReport",
+        "entropy_lower_bound_from_radius", "ext_recursion_table",
+        "ext_top_dim", "gy_gap", "h0_line_bundle", "hom_growth_lower_bound",
+        "iterated_chi", "reference_growth_bound", "twist_entropy_curve",
+    ],
+    "orthosearch": [
+        "Rank2Form", "SignatureReport", "find_positive_orthogonal",
+        "rank2_form", "rank2_isotropy_free", "search_report",
+        "signature_report",
+    ],
+}
+PUBLIC_NAMES = sorted(name for names in PUBLIC.values() for name in names)
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 61
+    assert sorted(mukai_entropy.__all__) == PUBLIC_NAMES
+    assert mukai_entropy.__version__ == "0.1.0"
+    assert set(PUBLIC_NAMES) | set(PUBLIC) <= set(dir(mukai_entropy))
+
+
+@pytest.mark.parametrize("home", sorted(PUBLIC))
+def test_public_names_are_their_home_objects(home):
+    module = importlib.import_module(f"mukai_entropy.{home}")
+    for name in PUBLIC[home]:
+        assert getattr(mukai_entropy, name) is getattr(module, name), name
+
+
+def test_star_import_and_submodules_resolve_in_a_fresh_interpreter():
+    out = json.loads(_stdout_of(
+        "import json, mukai_entropy\n"
+        "spectral = mukai_entropy.spectral\n"
+        "ns = {}\n"
+        "exec('from mukai_entropy import *', ns)\n"
+        "print(json.dumps({'star': sorted(set(ns) - {'__builtins__'}),\n"
+        "                  'spectral': spectral.__name__}))\n"
+    ))
+    assert out == {"star": PUBLIC_NAMES, "spectral": "mukai_entropy.spectral"}
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "charpoly_to_dict", "cli"])
+def test_unknown_name_raises_attribute_error(name):
+    # charpoly_to_dict lives in spectral but is not a public name; cli is a
+    # submodule that is reached only by importing it
+    code = (
+        "import mukai_entropy\n"
+        "try:\n"
+        f"    mukai_entropy.{name}\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+    )
+    assert _stdout_of(code) == "AttributeError\n"
+
+
+def _package_modules(modules: set[str]) -> set[str]:
+    return {m.removeprefix("mukai_entropy.") for m in modules
+            if m.startswith("mukai_entropy.")}
+
+
+def test_plain_import_loads_no_submodule():
+    assert _package_modules(_modules_after("import mukai_entropy")) == set()
+
+
+MODEL = '{"picard_rank":1,"ns_gram":[[4]]}'
+SPHERE = '{"r":1,"c":[0],"m":1}'
+# modules each subcommand loads besides the package, cli, errors, _linalg and
+# _record
+SUBCOMMAND_MODULES = [
+    (["lattice-check", MODEL], {"lattice"}),
+    (["pair", "--lattice", MODEL, "--v", SPHERE, "--w", SPHERE], {"lattice"}),
+    (["twist", "--lattice", MODEL, "--s", SPHERE], {"lattice", "isometries"}),
+    (["phi-h", "--d", "2"], {"lattice", "isometries"}),
+    (["char-poly", "--matrix", "[[2,1],[1,1]]"], {"spectral"}),
+    (["spectral-radius", "--matrix", "[[2,1],[1,1]]"], {"spectral"}),
+    (["gy-gap", "--d-min", "3", "--d-max", "6"], {"entropy", "spectral"}),
+    (["entropy-curve", "--spherical-dim", "2", "--complement", "yes",
+      "--t-min", "-1", "--t-max", "1", "--step", "1"], {"entropy"}),
+    (["ext-recursion", "--d", "2", "--i", "1", "--k", "1", "--n-max", "3"],
+     {"entropy", "lattice", "isometries"}),
+    (["complement-search", "--lattice", MODEL, "--s", SPHERE,
+      "--bound", "2"], {"lattice", "orthosearch"}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", SUBCOMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES])
+def test_subcommand_loads_only_its_modules(argv, expected):
+    code = (
+        "import io, contextlib\n"
+        "import mukai_entropy.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "if code != 0:\n"
+        "    raise SystemExit(f'exit code {code}')\n"
+    )
+    loaded = _package_modules(_modules_after(code))
+    assert loaded == {"cli", "errors", "_linalg", "_record"} | expected
