@@ -5,7 +5,9 @@ rounding anywhere. Every question about integer spans (kernels, membership,
 primitivity, inverses of unimodular matrices) goes through one unimodular
 column reduction, the only elimination here. Characteristic polynomials come
 from power sums by Newton's identities, and signatures from the signs of
-their coefficients.
+their coefficients. The square part of an integer, by trial division, serves
+the closed-form radius (d - 2 + sqrt(d^2 - 4d)) / 2 of the twist-tensor
+family, in spectral and in entropy alike.
 """
 
 from __future__ import annotations
@@ -207,3 +209,41 @@ def inertia(gram) -> tuple[int, int, int]:
     signs = [c > 0 for c in coeffs if c]
     plus = sum(map(operator.ne, signs, signs[1:]))
     return plus, len(gram) - plus - zero, zero
+
+
+def _square_part(n: int) -> tuple[int, int]:
+    """Write n = f*f * rest with rest squarefree; returns (f, rest).
+
+    One trial-division pass divides out each prime p it finds. Once p passes
+    the cube root of what is left, that has no prime factor below p, so it
+    is 1, a prime, a product of two primes or a prime square, and one isqrt
+    settles it. Up to about n^(1/3) / 2 steps, fewer past small factors.
+    """
+    f = core = 1
+    rest = n
+    p = 2
+    while p * p * p <= rest:
+        if rest % p == 0:
+            k = 0
+            while rest % p == 0:
+                rest //= p
+                k += 1
+            f *= p ** (k // 2)
+            core *= p ** (k % 2)
+        p += 1 if p == 2 else 2
+    s = math.isqrt(rest)
+    if s * s == rest:
+        return f * s, core
+    return f, core * rest
+
+
+def _closed_form_parts(d: int) -> tuple[int, int]:
+    """_square_part(d*d - 4*d) for d >= 5 from the odd parts of d and d - 4:
+    they are coprime, so trial division runs to the cube root of d, not d^2.
+    """
+    f, core, e = 1, 1, 0
+    for x in (d, d - 4):
+        k = (x & -x).bit_length() - 1   # the power of 2 in x
+        fx, cx = _square_part(x >> k)
+        f, core, e = f * fx, core * cx, e + k
+    return f << (e // 2), core << (e % 2)

@@ -39,8 +39,10 @@ def _fmt_float(x: float) -> str:
 
 
 def _int_digit_limit() -> int:
-    # 0 is no limit, as on Python 3.10 before 3.10.7, which lacks the call
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # with no limit (0: PYTHONINTMAXSTRDIGITS=0, or Python 3.10 before 3.10.7,
+    # which lacks the call) the guards below keep the default limit of 4300,
+    # sys.int_info.default_max_str_digits
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _fmt_exact(x) -> str:
@@ -113,7 +115,7 @@ def _parse_fraction(text: str) -> Fraction:
     # is refused first; a malformed exponent is left to Fraction to refuse
     limit = _int_digit_limit()
     try:
-        too_big = limit and abs(int(text.lower().partition("e")[2])) > limit
+        too_big = abs(int(text.lower().partition("e")[2])) > limit
     except ValueError:
         too_big = False
     if too_big:
@@ -287,13 +289,13 @@ def _cmd_ext_recursion(args) -> str:
     from .entropy import ext_recursion_table, ext_top_dim
     d, i, k, n_max = args.d, args.i, args.k, args.n_max
     limit = _int_digit_limit()
-    if limit and min(d, i, k, n_max + 1) >= 1:
+    if min(d, i, k, n_max + 1) >= 1:
         # Refused before any row is built: row n_max's top dimension
         # h0(i+1) h0(1)^(n_max-1) h0(k) has more than limit digits from
         # 4 * limit bits up, and below that it is cheap to compute and try.
-        if (n_max - 1) * ((d + 2).bit_length() - 1) >= 4 * limit:
+        if ((n_max - 1) * ((d + 2).bit_length() - 1) >= 4 * limit
+                or len(_fmt_exact(ext_top_dim(n_max, i, k, d))) > limit):
             raise LatticeInputError(f"--n-max {n_max}: over {limit} digits")
-        _fmt_exact(ext_top_dim(n_max, i, k, d))
     table = ext_recursion_table(d, i, k, n_max)
     rows = [
         [_fmt_exact(x) for x in (r.n, r.top_dim, r.growth_bound, r.chi)]

@@ -18,6 +18,7 @@ import operator
 from fractions import Fraction
 
 from . import _linalg
+from ._linalg import _closed_form_parts
 from ._record import Record
 from .errors import LatticeInputError
 
@@ -39,13 +40,6 @@ class CurvePiece(Record):
     slope: Fraction
     intercept: Fraction
     proven: bool
-
-    def __init__(self, lower, upper, slope, intercept, proven):
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "intercept", intercept)
-        object.__setattr__(self, "proven", proven)
 
     def value_at(self, t: Fraction) -> Fraction:
         return self.slope * t + self.intercept
@@ -79,7 +73,7 @@ class EntropyCurve(Record):
             b = left.upper
             if left.value_at(b) != right.value_at(b):
                 raise LatticeInputError(f"curve is discontinuous at t={b}")
-        object.__setattr__(self, "pieces", ps)
+        self.__dict__.update(pieces=ps)
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -187,15 +181,6 @@ class ExtTableRow(Record):
     chi: int
     vanishing_range: tuple[int, int]
 
-    def __init__(self, n, top_degree, top_dim, growth_bound, chi,
-                 vanishing_range):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "top_degree", top_degree)
-        object.__setattr__(self, "top_dim", top_dim)
-        object.__setattr__(self, "growth_bound", growth_bound)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "vanishing_range", vanishing_range)
-
 
 class ExtRecursionTable(Record):
     """Tabulated Ext growth for fixed (d, i, k) up to an iteration cap."""
@@ -204,12 +189,6 @@ class ExtRecursionTable(Record):
     i: int
     k: int
     rows: tuple[ExtTableRow, ...]
-
-    def __init__(self, d, i, k, rows):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "rows", rows)
 
 
 def ext_recursion_table(d: int, i: int, k: int, n_max: int) -> ExtRecursionTable:
@@ -254,21 +233,6 @@ class GapReport(Record):
     log_rho: float
     gap: float
     certified: bool
-
-    def __init__(self, d, lower_bound, log_rho, gap, certified):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "lower_bound", lower_bound)
-        object.__setattr__(self, "log_rho", log_rho)
-        object.__setattr__(self, "gap", gap)
-        object.__setattr__(self, "certified", certified)
-
-
-def _closed_form_parts(d: int) -> tuple[int, int]:
-    # the first call imports spectral and rebinds this name to
-    # spectral._closed_form_parts, so a gy_gap sweep runs no import per row
-    global _closed_form_parts
-    from .spectral import _closed_form_parts
-    return _closed_form_parts(d)
 
 
 def gy_gap(d: int) -> GapReport:

@@ -31,7 +31,7 @@ class Isometry(Record):
 
     Every value satisfies M^T G M == G. A matrix from outside (this
     constructor, isometry_from_dict) is checked exactly; the module's own
-    constructions go through _proved, each an isometry by an identity: +-I
+    constructions go through _of, each an isometry by an identity: +-I
     (identity, shift); the reflection in s with s^2 = -2 (twist), where
     <v + <v,s>s, w + <w,s>s> = <v,w> + (2 + s^2)<v,s><w,s>; the Mukai
     product with (1, D, D^2/2), integral as the NS diagonal is even
@@ -58,15 +58,7 @@ class Isometry(Record):
         )
         if gram_back != g:
             raise LatticeInputError("matrix does not preserve the Mukai pairing")
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "label", label)
-
-    @classmethod
-    def _proved(cls, model: K3LatticeModel, matrix, label: str) -> Isometry:
-        a = object.__new__(cls)
-        a.__dict__.update(model=model, matrix=matrix, label=label)
-        return a
+        self.__dict__.update(model=model, matrix=mat, label=label)
 
     def apply(self, v: MukaiVector) -> MukaiVector:
         if len(v.c) != self.model.picard_rank:
@@ -86,7 +78,7 @@ def _join_labels(a: str, b: str) -> str:
 
 
 def identity_action(model: K3LatticeModel) -> Isometry:
-    return Isometry._proved(model, _linalg.identity(model.rank), "id")
+    return Isometry._of(model=model, matrix=_linalg.identity(model.rank), label="id")
 
 
 def spherical_twist_action(model: K3LatticeModel, s: MukaiVector) -> Isometry:
@@ -109,7 +101,7 @@ def spherical_twist_action(model: K3LatticeModel, s: MukaiVector) -> Isometry:
         )
         for i in range(n)
     )
-    return Isometry._proved(model, mat, f"twist[{_fmt_vec(s)}]")
+    return Isometry._of(model=model, matrix=mat, label=f"twist[{_fmt_vec(s)}]")
 
 
 def tensor_line_bundle_action(model: K3LatticeModel, divisor) -> Isometry:
@@ -133,7 +125,8 @@ def tensor_line_bundle_action(model: K3LatticeModel, divisor) -> Isometry:
     rows[n - 1][1:n - 1] = gd
     rows[n - 1][n - 1] = 1
     label = "tensor[(" + ",".join(str(x) for x in d_vec) + ")]"
-    return Isometry._proved(model, tuple(tuple(r) for r in rows), label)
+    return Isometry._of(
+        model=model, matrix=tuple(tuple(r) for r in rows), label=label)
 
 
 def shift_action(model: K3LatticeModel, n: int) -> Isometry:
@@ -144,16 +137,16 @@ def shift_action(model: K3LatticeModel, n: int) -> Isometry:
         tuple(sign if i == j else 0 for j in range(model.rank))
         for i in range(model.rank)
     )
-    return Isometry._proved(model, mat, f"shift[{n}]")
+    return Isometry._of(model=model, matrix=mat, label=f"shift[{n}]")
 
 
 def compose(a: Isometry, b: Isometry) -> Isometry:
     """Apply b first, then a."""
     if a.model != b.model:
         raise LatticeInputError("cannot compose isometries of different models")
-    return Isometry._proved(
-        a.model, _linalg.mat_mul(a.matrix, b.matrix), _join_labels(a.label, b.label)
-    )
+    return Isometry._of(model=a.model,
+                        matrix=_linalg.mat_mul(a.matrix, b.matrix),
+                        label=_join_labels(a.label, b.label))
 
 
 def inverse(a: Isometry) -> Isometry:
@@ -162,7 +155,8 @@ def inverse(a: Isometry) -> Isometry:
     cols = _linalg.span_coordinates(
         _linalg.transpose(a.matrix), _linalg.identity(n)
     )
-    return Isometry._proved(a.model, _linalg.transpose(cols), f"inverse[{a.label}]")
+    return Isometry._of(model=a.model, matrix=_linalg.transpose(cols),
+                        label=f"inverse[{a.label}]")
 
 
 def power(a: Isometry, n: int) -> Isometry:
@@ -186,7 +180,8 @@ def power(a: Isometry, n: int) -> Isometry:
                 f"power entries pass {_POWER_BITS_CAP} bits; exponent too large")
         if bit == "1":
             result = _linalg.mat_mul(result, base)
-    return Isometry._proved(a.model, result, f"power[{a.label},{n}]")
+    return Isometry._of(model=a.model, matrix=result,
+                        label=f"power[{a.label},{n}]")
 
 
 def polarization_degree(model: K3LatticeModel) -> int:

@@ -35,11 +35,6 @@ class Signature(Record):
     n_minus: int
     n_zero: int
 
-    def __init__(self, n_plus, n_minus, n_zero):
-        object.__setattr__(self, "n_plus", n_plus)
-        object.__setattr__(self, "n_minus", n_minus)
-        object.__setattr__(self, "n_zero", n_zero)
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_plus, self.n_minus, self.n_zero)
 
@@ -53,9 +48,8 @@ class MukaiVector(Record):
 
     def __init__(self, r, c, m):
         r, m = _as_int(r, "r"), _as_int(m, "m")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c", tuple(_as_int(x, "c entry") for x in c))
-        object.__setattr__(self, "m", m)
+        self.__dict__.update(
+            r=r, c=tuple(_as_int(x, "c entry") for x in c), m=m)
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -74,6 +68,8 @@ class K3LatticeModel(Record):
 
     The NS form must be even and of hyperbolic signature (1, rho-1), the
     shape carried by the Neron-Severi lattice of any projective K3 surface.
+    That lattice sits in H^{1,1}, of dimension 20, so a picard_rank past 20
+    is refused before ns_gram is read (the signature check costs rho^4).
     The attribute mukai_gram, the Gram matrix of the Mukai form, is built
     here from ns_gram and is not a field: ==, hash and repr leave it out.
     """
@@ -85,6 +81,8 @@ class K3LatticeModel(Record):
         rho = _as_int(picard_rank, "picard_rank")
         if rho < 1:
             raise LatticeInputError("picard_rank must be positive")
+        if rho > 20:
+            raise LatticeInputError(f"picard_rank {rho} is over 20")
         gram = _linalg.to_int_matrix(ns_gram)
         if len(gram) != rho or any(len(row) != rho for row in gram):
             raise LatticeInputError("ns_gram must be picard_rank x picard_rank")
@@ -98,9 +96,8 @@ class K3LatticeModel(Record):
                 f"ns_gram must have signature (1, {rho - 1}), "
                 f"got ({plus}, {minus}, {zero})"
             )
-        object.__setattr__(self, "picard_rank", rho)
-        object.__setattr__(self, "ns_gram", gram)
-        object.__setattr__(self, "mukai_gram", _build_mukai_gram(gram))
+        self.__dict__.update(picard_rank=rho, ns_gram=gram,
+                             mukai_gram=_build_mukai_gram(gram))
 
     @property
     def rank(self) -> int:

@@ -48,7 +48,7 @@ class Rank2Form(Record):
             raise LatticeInputError("rank-2 form needs a 2x2 matrix")
         if g[0][1] != g[1][0]:
             raise LatticeInputError("rank-2 form must be symmetric")
-        object.__setattr__(self, "gram", g)
+        self.__dict__.update(gram=g)
 
 
 def rank2_form(model: K3LatticeModel, s: MukaiVector,
@@ -210,12 +210,6 @@ class SignatureReport(Record):
     s_line: Signature
     s_perp: Signature
     extended: Signature | None
-
-    def __init__(self, full, s_line, s_perp, extended):
-        object.__setattr__(self, "full", full)
-        object.__setattr__(self, "s_line", s_line)
-        object.__setattr__(self, "s_perp", s_perp)
-        object.__setattr__(self, "extended", extended)
 
 
 def signature_report(model: K3LatticeModel, s: MukaiVector,

@@ -29,6 +29,7 @@ import math
 from fractions import Fraction
 
 from . import _linalg
+from ._linalg import _closed_form_parts, _square_part
 from ._record import Record
 from .errors import CertificationError, LatticeInputError
 
@@ -47,7 +48,7 @@ class CharPoly(Record):
         coeffs = tuple(coeffs)
         if not coeffs or coeffs[-1] not in (1, -1):
             raise LatticeInputError("leading coefficient must be +-1")
-        object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__.update(coeffs=coeffs)
 
     @property
     def degree(self) -> int:
@@ -71,10 +72,7 @@ class CertifiedRadius(Record):
             raise CertificationError("certified interval is inverted")
         if hi - lo > Fraction(tolerance):
             raise CertificationError("certified interval wider than tolerance")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "tolerance", tolerance)
+        self.__dict__.update(value=value, lo=lo, hi=hi, tolerance=tolerance)
 
 
 def _check_square_int(matrix) -> tuple[tuple[int, ...], ...]:
@@ -353,44 +351,6 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
 
 # --- exact quadratic surds ---------------------------------------------------
 
-def _square_part(n: int) -> tuple[int, int]:
-    """Write n = f*f * rest with rest squarefree; returns (f, rest).
-
-    One trial-division pass divides out each prime p it finds. Once p passes
-    the cube root of what is left, that has no prime factor below p, so it
-    is 1, a prime, a product of two primes or a prime square, and one isqrt
-    settles it. Up to about n^(1/3) / 2 steps, fewer past small factors.
-    """
-    f = core = 1
-    rest = n
-    p = 2
-    while p * p * p <= rest:
-        if rest % p == 0:
-            k = 0
-            while rest % p == 0:
-                rest //= p
-                k += 1
-            f *= p ** (k // 2)
-            core *= p ** (k % 2)
-        p += 1 if p == 2 else 2
-    s = math.isqrt(rest)
-    if s * s == rest:
-        return f * s, core
-    return f, core * rest
-
-
-def _closed_form_parts(d: int) -> tuple[int, int]:
-    """_square_part(d*d - 4*d) for d >= 5 from the odd parts of d and d - 4:
-    they are coprime, so trial division runs to the cube root of d, not d^2.
-    """
-    f, core, e = 1, 1, 0
-    for x in (d, d - 4):
-        k = (x & -x).bit_length() - 1   # the power of 2 in x
-        fx, cx = _square_part(x >> k)
-        f, core, e = f * fx, core * cx, e + k
-    return f << (e // 2), core << (e % 2)
-
-
 class QuadraticSurd(Record):
     """Exact real number a + b*sqrt(root) with rational a, b.
 
@@ -419,16 +379,7 @@ class QuadraticSurd(Record):
             b = Fraction(0)
         if b == 0:
             root = 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "root", root)
-
-    @classmethod
-    def _canonical(cls, a: Fraction, b: Fraction, root: int) -> "QuadraticSurd":
-        """Wrap parts already in canonical form, skipping __init__."""
-        surd = object.__new__(cls)
-        surd.__dict__.update(a=a, b=b, root=root)
-        return surd
+        self.__dict__.update(a=a, b=b, root=root)
 
     @staticmethod
     def from_rational(x) -> "QuadraticSurd":
@@ -520,7 +471,7 @@ def radius_closed_form(d: int) -> QuadraticSurd:
     if d <= 4:
         return QuadraticSurd.from_rational(1)
     f, core = _closed_form_parts(d)
-    return QuadraticSurd._canonical(Fraction(d - 2, 2), Fraction(f, 2), core)
+    return QuadraticSurd._of(a=Fraction(d - 2, 2), b=Fraction(f, 2), root=core)
 
 
 # --- JSON interchange -------------------------------------------------------

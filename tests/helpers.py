@@ -604,6 +604,13 @@ def basis_spherical_class(rng: random.Random,
     return MukaiVector(r, tuple(c), r * (model.ns_gram[i][i] + 2) // 2)
 
 
+def tridiagonal_gram(rho: int) -> list[list[int]]:
+    """<4> + (-A_(rho-1)) joined by e_1 . e_2 = 1: an even NS Gram matrix of
+    signature (1, rho - 1) for every rho, so a valid model but for its rank."""
+    return [[4 if i == j == 0 else -2 if i == j else int(abs(i - j) == 1)
+             for j in range(rho)] for i in range(rho)]
+
+
 def random_k3_model(rng: random.Random, rho: int,
                     entry_bound: int = 20) -> K3LatticeModel:
     """Random even symmetric Gram of signature (1, rho-1) by rejection."""

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import tridiagonal_gram
 from mukai_entropy import cli, entropy, orthosearch, spectral
 from mukai_entropy.cli import main
 from mukai_entropy.lattice import model_from_dict, vector_from_dict
@@ -350,6 +351,62 @@ def test_ext_recursion_refuses_long_table_before_building(digit_limit,
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Switch the interpreter's int-to-str limit off, as PYTHONINTMAXSTRDIGITS=0
+    does; Python 3.10 before 3.10.7 has no limit at all."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ext-recursion", "--d", "1", "--i", "1", "--k", "1", "--n-max", "1000000"),
+    # refused by the digit check of row 42 (4301 digits), not the bit bound
+    ("ext-recursion", "--d", f"1{'0' * 100}", "--i", "1", "--k", "1",
+     "--n-max", "42"),
+    ("entropy-curve", "--spherical-dim", "2", "--complement", "yes",
+     "--t-min", "1e1000000000", "--t-max", "1e1000000000", "--step", "1"),
+], ids=["ext-recursion-n-max", "ext-recursion-top-row", "entropy-curve"])
+def test_guards_keep_the_default_limit_without_one(no_digit_limit, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(*argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "4300" in err
+
+
+def test_ext_recursion_below_the_default_limit_runs_without_one(no_digit_limit):
+    code, out, _ = run_cli(
+        "ext-recursion", "--d", f"1{'0' * 100}", "--i", "1", "--k", "1",
+        "--n-max", "41")   # row 41 has 4201 digits
+    assert code == 0 and len(out.splitlines()[-1].split(",")[1]) == 4201
+
+
+def tridiagonal_model(rho):
+    return json.dumps({"picard_rank": rho, "ns_gram": tridiagonal_gram(rho)})
+
+
+@pytest.mark.parametrize("rho", [21, 320])
+def test_models_past_picard_rank_twenty_exit_two_quickly(rho):
+    model = tridiagonal_model(rho)
+    vector = json.dumps({"r": 1, "c": [0] * rho, "m": 1})
+    for argv in (
+        ("lattice-check", model),
+        ("pair", "--lattice", model, "--v", vector, "--w", vector),
+        ("twist", "--lattice", model, "--s", vector),
+        ("phi-h", "--d", "2", "--lattice", model),
+        ("complement-search", "--lattice", model, "--s", vector),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - start < 0.5, argv[0]
+        assert (code, out) == (2, ""), argv[0]
+        assert err == f"error: picard_rank {rho} is over 20\n", argv[0]
+    assert run_cli("lattice-check", tridiagonal_model(20))[0] == 0
 
 
 def test_complement_search_command():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import oracle_iterated_chi, oracle_radius_parts
-from mukai_entropy import isometries, spectral
+from mukai_entropy import _linalg, isometries
 from mukai_entropy.entropy import (
     CurvePiece,
     EntropyCurve,
@@ -245,13 +245,13 @@ def test_gap_reference_values():
 
 def _count_square_parts(monkeypatch) -> list[int]:
     calls = []
-    real = spectral._square_part
+    real = _linalg._square_part
 
     def counting(n):
         calls.append(n)
         return real(n)
 
-    monkeypatch.setattr(spectral, "_square_part", counting)
+    monkeypatch.setattr(_linalg, "_square_part", counting)
     return calls
 
 

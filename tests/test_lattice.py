@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +14,7 @@ from helpers import (
     random_k3_model,
     random_vector,
     same_lattice,
+    tridiagonal_gram,
     unimodular_k3_model,
 )
 from mukai_entropy.errors import LatticeInputError
@@ -147,6 +149,21 @@ def test_model_validation():
         K3LatticeModel(1, ((0,),))  # degenerate
     # the hyperbolic plane U is fine: even with signature (1, 1)
     K3LatticeModel(2, ((0, 1), (1, 0)))
+
+
+def test_picard_rank_is_capped_at_twenty():
+    # the NS lattice of a projective K3 surface sits in H^{1,1}, of dimension
+    # 20; a larger rank is refused before the gram is read, so quickly even
+    # where the signature check alone took over 60 s (rho = 320)
+    assert K3LatticeModel(20, tridiagonal_gram(20)).picard_rank == 20
+    for rho in (21, 80, 320):
+        gram = tridiagonal_gram(rho)
+        start = time.perf_counter()
+        with pytest.raises(LatticeInputError, match=f"picard_rank {rho} is over 20"):
+            K3LatticeModel(rho, gram)
+        with pytest.raises(LatticeInputError):
+            model_from_dict({"picard_rank": rho, "ns_gram": gram})
+        assert time.perf_counter() - start < 0.5, rho
 
 
 def test_signature_examples():

@@ -2,8 +2,8 @@
 
 For each of the 14 types: the repr bytes of a sample, == and hash of two
 values built apart, != against another type holding the same values,
-keyword construction, copies and pickles, and AttributeError on assigning
-or deleting any attribute.
+keyword construction, TypeError on a bad argument list, copies and pickles,
+and AttributeError on assigning or deleting any attribute.
 """
 
 import copy
@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from mukai_entropy._record import Record
+from mukai_entropy.errors import LatticeInputError
 from mukai_entropy.entropy import (
     CurvePiece,
     EntropyCurve,
@@ -23,7 +24,12 @@ from mukai_entropy.entropy import (
 from mukai_entropy.isometries import Isometry
 from mukai_entropy.lattice import K3LatticeModel, MukaiVector, Signature
 from mukai_entropy.orthosearch import Rank2Form, SignatureReport
-from mukai_entropy.spectral import CertifiedRadius, CharPoly, QuadraticSurd
+from mukai_entropy.spectral import (
+    CertifiedRadius,
+    CharPoly,
+    QuadraticSurd,
+    radius_closed_form,
+)
 
 MODEL = {"picard_rank": 1, "ns_gram": ((4,),)}
 MODEL_REPR = "K3LatticeModel(picard_rank=1, ns_gram=((4,),))"
@@ -102,6 +108,46 @@ def test_keyword_and_positional_construction_agree(cls, kwargs, text):
     assert repr(by_position) == text
     # the fields are the keyword names, in order
     assert cls.__match_args__ == tuple(args)
+
+
+@pytest.mark.parametrize("cls, kwargs, text", CASES, ids=IDS)
+def test_bad_argument_lists_raise_type_error(cls, kwargs, text):
+    args = kwargs()
+    first = next(iter(args))
+    for bad_args, bad_kwargs in (
+        ((), dict(list(args.items())[:-1])),             # a field missing
+        ((), {**args, "not_a_field": 0}),                # an unknown keyword
+        ((args[first],), args),                          # a field given twice
+        ((*args.values(), 0), {}),                       # one value too many
+    ):
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+
+
+# types that only store their fields take the base constructor
+STORAGE_ONLY = {"Signature", "CurvePiece", "ExtTableRow", "ExtRecursionTable",
+                "GapReport", "SignatureReport"}
+
+
+@pytest.mark.parametrize("cls, kwargs, text", CASES, ids=IDS)
+def test_only_checking_types_define_init(cls, kwargs, text):
+    assert ("__init__" in vars(cls)) == (cls.__name__ not in STORAGE_ONLY)
+
+
+def test_closed_form_radius_matches_the_checking_constructor():
+    # radius_closed_form builds its surd from proved parts with _of; the
+    # canonicalising constructor must give the same value and repr bytes
+    for d in range(5, 2001):
+        built = radius_closed_form(d)
+        checked = QuadraticSurd(Fraction(d - 2, 2), Fraction(1, 2), d * d - 4 * d)
+        assert built == checked and repr(built) == repr(checked), d
+
+
+def test_of_runs_no_init():
+    value = MukaiVector._of(r=True, c=[0], m=1)
+    assert repr(value) == "MukaiVector(r=True, c=[0], m=1)"
+    with pytest.raises(LatticeInputError):
+        MukaiVector(True, [0], 1)
 
 
 @pytest.mark.parametrize("cls, kwargs, text", CASES, ids=IDS)
