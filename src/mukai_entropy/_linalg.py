@@ -1,13 +1,15 @@
 """Exact integer matrix routines used across the package.
 
 Everything works on plain nested sequences of Python ints, so there is no
-rounding anywhere. Every question about integer spans (kernels, membership,
-primitivity, inverses of unimodular matrices) goes through one unimodular
-column reduction, the only elimination here. Characteristic polynomials come
-from power sums by Newton's identities, and signatures from the signs of
-their coefficients. The square part of an integer, by trial division, serves
-the closed-form radius (d - 2 + sqrt(d^2 - 4d)) / 2 of the twist-tensor
-family, in spectral and in entropy alike.
+rounding anywhere. Input is checked here, once: to_int for an integer
+argument, with its lower bound, and to_int_matrix for a square integer
+matrix, with its size. Every question about integer spans (kernels,
+membership, primitivity, inverses of unimodular matrices) goes through one
+unimodular column reduction, the only elimination here. Characteristic
+polynomials come from power sums by Newton's identities, and signatures from
+the signs of their coefficients. The square part of an integer, by trial
+division, serves the closed-form radius (d - 2 + sqrt(d^2 - 4d)) / 2 of the
+twist-tensor family, in spectral and in entropy alike.
 """
 
 from __future__ import annotations
@@ -27,21 +29,36 @@ _short.maxstring = _short.maxother = 60
 short_repr = _short.repr
 
 
-def to_int_matrix(rows) -> IntMatrix:
+# what to_int says it wants, by lower bound
+_INT_KINDS = {None: "an integer", 0: "a non-negative integer",
+              1: "a positive integer"}
+
+
+def to_int(x, what: str, least: int | None = None) -> int:
+    """x itself when it is an int, not a bool, and at least `least` when a
+    bound (0 or 1) is given; else a LatticeInputError naming `what`."""
+    # an exact int, the common case, takes one type test
+    if (type(x) is not int and (isinstance(x, bool) or not isinstance(x, int))
+            or least is not None and x < least):
+        raise LatticeInputError(
+            f"{what} must be {_INT_KINDS[least]}, got {short_repr(x)}")
+    return x
+
+
+def to_int_matrix(rows, size: int | None = None,
+                  what: str = "matrix") -> IntMatrix:
+    """rows as a tuple of int tuples, checked square, and size x size when a
+    size is given; the empty matrix is square."""
     if not isinstance(rows, (list, tuple)):
-        raise LatticeInputError("matrix must be a list of rows")
-    out = []
-    for row in rows:
-        if not isinstance(row, (list, tuple)):
-            raise LatticeInputError("matrix rows must be lists")
-        cleaned = []
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise LatticeInputError(
-                    f"matrix entries must be integers, got {short_repr(x)}")
-            cleaned.append(x)
-        out.append(tuple(cleaned))
-    return tuple(out)
+        raise LatticeInputError(f"{what} must be a list of rows")
+    if not all(isinstance(row, (list, tuple)) for row in rows):
+        raise LatticeInputError(f"{what} rows must be lists")
+    n = len(rows) if size is None else size
+    if len(rows) != n or any(len(row) != n for row in rows):
+        shape = "square" if size is None else f"{n}x{n}"
+        raise LatticeInputError(f"{what} must be {shape}")
+    entry = f"{what} entry"
+    return tuple(tuple(to_int(x, entry) for x in row) for row in rows)
 
 
 def identity(n: int) -> IntMatrix:
@@ -63,10 +80,9 @@ def transpose(a) -> IntMatrix:
     return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
 
 
-def is_square_symmetric(a) -> bool:
+def is_symmetric(a) -> bool:
+    """Whether a square matrix equals its transpose."""
     n = len(a)
-    if any(len(row) != n for row in a):
-        return False
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 

@@ -64,7 +64,7 @@ def _dump_json(obj) -> str:
             f"{json.dumps(str(k))}: {_dump_json(v)}" for k, v in obj.items()
         )
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return "[" + ",".join(_dump_json(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -72,28 +72,35 @@ def _dump_json(obj) -> str:
         return _fmt_float(obj)
     if isinstance(obj, int):
         return _fmt_exact(obj)
-    if isinstance(obj, Fraction):
-        return json.dumps(_fmt_exact(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _json_int(literal: str) -> int:
+    # refused before int() runs, which is quadratic in the digit count and,
+    # with no int-to-str limit, unbounded
+    limit = _int_digit_limit()
+    if len(literal) - literal.startswith("-") > limit:
+        raise LatticeInputError(f"integer literal over {limit} digits")
+    return int(literal)
+
+
 def _load_json_arg(value: str):
     """Inline JSON when the argument looks like a literal, else a file path.
 
-    Nesting past the interpreter's recursion limit is an input error too.
+    An integer literal past the digit limit, or nesting past the
+    interpreter's recursion limit, is an input error too.
     """
     text = value.strip()
     if text.startswith("{") or text.startswith("["):
         try:
-            return json.loads(text)
-        # ValueError also covers integers past the digit limit
+            return json.loads(text, parse_int=_json_int)
         except (ValueError, RecursionError) as exc:
             raise LatticeInputError(f"bad inline JSON: {exc}") from exc
     try:
         with open(value, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_int=_json_int)
     except OSError as exc:
         raise LatticeInputError(f"cannot read {value}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -194,8 +201,6 @@ def _cmd_phi_h(args) -> str:
     )
     from .lattice import rank_one_model
     d = args.d
-    if d < 1:
-        raise LatticeInputError("--d must be a positive integer")
     if args.lattice is not None:
         model = _load_model(args.lattice)
         if model.ns_gram[0][0] != 2 * d:
@@ -253,8 +258,6 @@ def _cmd_gy_gap(args) -> str:
 
 def _cmd_entropy_curve(args) -> str:
     from .entropy import twist_entropy_curve
-    if args.spherical_dim < 1:
-        raise LatticeInputError("--spherical-dim must be positive")
     curve = twist_entropy_curve(args.spherical_dim, args.complement == "yes")
     t_min = _parse_fraction(args.t_min)
     t_max = _parse_fraction(args.t_max)

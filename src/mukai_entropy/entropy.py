@@ -18,18 +18,12 @@ import operator
 from fractions import Fraction
 
 from . import _linalg
-from ._linalg import _closed_form_parts
+from ._linalg import _closed_form_parts, to_int
 from ._record import Record
 from .errors import LatticeInputError
 
 # isometries, lattice and spectral are imported by the functions that use
 # them when they run: twist_entropy_curve needs none of them
-
-
-def _positive_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-        raise LatticeInputError(f"{what} must be a positive integer")
-    return x
 
 
 class CurvePiece(Record):
@@ -99,7 +93,7 @@ def twist_entropy_curve(spherical_dim: int,
     proven exactly when d = 1 or a complement witness is known; otherwise the
     0 is only an upper bound and the piece is flagged unproven.
     """
-    d = _positive_int(spherical_dim, "spherical_dim")
+    d = to_int(spherical_dim, "spherical_dim", 1)
     if not isinstance(complement_nonempty, bool):
         raise LatticeInputError("complement_nonempty must be True or False")
     zero = Fraction(0)
@@ -116,8 +110,8 @@ def h0_line_bundle(k: int, d: int) -> int:
     Positivity of k is required; it is what kills the higher cohomology and
     turns the Euler characteristic into a dimension.
     """
-    k = _positive_int(k, "k")
-    d = _positive_int(d, "d")
+    k = to_int(k, "k", 1)
+    d = to_int(d, "d", 1)
     return k * k * d + 2
 
 
@@ -128,11 +122,10 @@ def ext_top_dim(n: int, i: int, k: int, d: int) -> int:
     top dimension by the section count of the polarization, and the final
     extra twist by k enters once.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise LatticeInputError("n must be a non-negative integer")
-    i = _positive_int(i, "i")
-    k = _positive_int(k, "k")
-    d = _positive_int(d, "d")
+    n = to_int(n, "n", 0)
+    i = to_int(i, "i", 1)
+    k = to_int(k, "k", 1)
+    d = to_int(d, "d", 1)
     if n == 0:
         return h0_line_bundle(i + k, d)
     return (
@@ -149,24 +142,22 @@ def hom_growth_lower_bound(n: int, i: int, d: int) -> int:
 
 def reference_growth_bound(n: int, d: int) -> int:
     """The weaker closed bound (d+2)^n that the exact one always dominates."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise LatticeInputError("n must be a non-negative integer")
-    d = _positive_int(d, "d")
+    n = to_int(n, "n", 0)
+    d = to_int(d, "d", 1)
     return (d + 2) ** n
 
 
 def iterated_chi(n: int, i: int, k: int, model) -> int:
     """Euler pairing against the n-th twist-tensor iterate, purely on the lattice.
 
-    Consistency oracle for the Ext recursion: the induced isometry of the
-    rank-one K3LatticeModel `model` applied n times to the class of O(-i H),
-    tensored by -k H and paired with the structure-sheaf class. This is the
-    chi of row n of `ext_recursion_table`.
+    The induced isometry of the rank-one K3LatticeModel `model` applied n
+    times to the class of O(-i H), tensored by -k H and paired with the
+    structure-sheaf class. It is read off row n of `ext_recursion_table`,
+    so it is no independent check of that table; tests/helpers.py has one,
+    oracle_iterated_chi, through power(phi, n). ext_recursion_table checks
+    i and k.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise LatticeInputError("n must be a non-negative integer")
-    i = _positive_int(i, "i")
-    k = _positive_int(k, "k")
+    n = to_int(n, "n", 0)
     if model.picard_rank != 1:
         raise LatticeInputError("iterated_chi needs a rank-one model")
     # the model's NS form is even and positive definite, so d >= 1
@@ -195,11 +186,10 @@ def ext_recursion_table(d: int, i: int, k: int, n_max: int) -> ExtRecursionTable
     """Ext growth rows for n = 0..n_max: one matrix-vector product per row,
     chi(O_X, T_k v) = -<o_x, T_k v> as one dot with the fixed row -T_k^T G o_x,
     and top_dim and (d+2)^n as running products."""
-    d = _positive_int(d, "d")
-    i = _positive_int(i, "i")
-    k = _positive_int(k, "k")
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
-        raise LatticeInputError("n_max must be a non-negative integer")
+    d = to_int(d, "d", 1)
+    i = to_int(i, "i", 1)
+    k = to_int(k, "k", 1)
+    n_max = to_int(n_max, "n_max", 0)
     from .isometries import tensor_line_bundle_action, twist_tensor_action
     from .lattice import rank_one_model, structure_sheaf_vector
     model = rank_one_model(d)
@@ -237,7 +227,7 @@ class GapReport(Record):
 
 def gy_gap(d: int) -> GapReport:
     """Gap log(d+2) - log(radius) of the twist-tensor family, certified positive."""
-    d = _positive_int(d, "d")
+    d = to_int(d, "d", 1)
     # the radius is 1 for d <= 4; from d = 5 on, (d - 2 + sqrt(m)) / 2 < d + 2
     # with m = d^2 - 4d is sqrt(m) < d + 6, and both sides are non-negative
     certified = d <= 4 or d * d - 4 * d < (d + 6) ** 2

@@ -8,15 +8,15 @@ matching functor composition, so composing needs no transposes.
 
 from __future__ import annotations
 
-import operator
-
 from . import _linalg
+from ._linalg import to_int
 from ._record import Record
 from .errors import InvarianceError, LatticeInputError
 from .lattice import (
     K3LatticeModel,
     MukaiVector,
-    _as_int,
+    _check_vector,
+    _divisor,
     is_spherical_class,
     square,
     structure_sheaf_vector,
@@ -46,12 +46,7 @@ class Isometry(Record):
     label: str
 
     def __init__(self, model, matrix, label):
-        n = model.rank
-        mat = _linalg.to_int_matrix(matrix)
-        if len(mat) != n or any(len(row) != n for row in mat):
-            raise LatticeInputError(
-                f"isometry matrix must be {n}x{n} for this model"
-            )
+        mat = _linalg.to_int_matrix(matrix, model.rank, "isometry matrix")
         g = model.mukai_gram
         gram_back = _linalg.mat_mul(
             _linalg.mat_mul(_linalg.transpose(mat), g), mat
@@ -61,8 +56,7 @@ class Isometry(Record):
         self.__dict__.update(model=model, matrix=mat, label=label)
 
     def apply(self, v: MukaiVector) -> MukaiVector:
-        if len(v.c) != self.model.picard_rank:
-            raise LatticeInputError("vector rank does not match the model")
+        _check_vector(self.model, v)
         return MukaiVector.from_coords(_linalg.mat_vec(self.matrix, v.coords))
 
 
@@ -109,12 +103,8 @@ def tensor_line_bundle_action(model: K3LatticeModel, divisor) -> Isometry:
 
     Sends (r, c, m) to (r, c + r D, m + c.D + r D^2/2); unipotent of index 3.
     """
-    d_vec = tuple(_as_int(x, "divisor entry") for x in divisor)
+    d_vec, gd, d_sq = _divisor(model, divisor)
     rho = model.picard_rank
-    if len(d_vec) != rho:
-        raise LatticeInputError("divisor length must equal picard_rank")
-    gd = _linalg.mat_vec(model.ns_gram, d_vec)
-    d_sq = sum(map(operator.mul, d_vec, gd))
     n = model.rank
     rows = [[0] * n for _ in range(n)]
     rows[0][0] = 1
@@ -131,7 +121,7 @@ def tensor_line_bundle_action(model: K3LatticeModel, divisor) -> Isometry:
 
 def shift_action(model: K3LatticeModel, n: int) -> Isometry:
     """Shift by n acts as (-1)^n times the identity."""
-    n = _as_int(n, "shift")
+    n = to_int(n, "shift")
     sign = 1 if n % 2 == 0 else -1
     mat = tuple(
         tuple(sign if i == j else 0 for j in range(model.rank))
@@ -170,7 +160,7 @@ def power(a: Isometry, n: int) -> Isometry:
     Isometries of radius 1, such as twists and tensors, have entries
     polynomial in n and reach exponents far past 10^9.
     """
-    n = _as_int(n, "power exponent")
+    n = to_int(n, "power exponent")
     base = (a if n >= 0 else inverse(a)).matrix
     result = _linalg.identity(a.model.rank)
     for bit in bin(abs(n))[2:]:
@@ -237,9 +227,6 @@ def restrict_to_sublattice(a: Isometry, basis) -> tuple[tuple[int, ...], ...]:
     vectors = list(basis)
     if not vectors:
         raise LatticeInputError("sublattice basis must be non-empty")
-    for v in vectors:
-        if len(v.c) != a.model.picard_rank:
-            raise LatticeInputError("basis vector rank does not match model")
     coords = _linalg.span_coordinates(
         [v.coords for v in vectors], [a.apply(v).coords for v in vectors]
     )
@@ -274,7 +261,7 @@ def isometry_from_dict(model: K3LatticeModel, data: dict) -> Isometry:
         raise LatticeInputError(
             "isometry JSON needs keys 'matrix' and 'picard_rank'"
         ) from exc
-    if _as_int(rho, "picard_rank") != model.picard_rank:
+    if to_int(rho, "picard_rank") != model.picard_rank:
         raise LatticeInputError("isometry picard_rank does not match the model")
     if not isinstance(label, str):
         raise LatticeInputError(

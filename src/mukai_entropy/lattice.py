@@ -17,15 +17,9 @@ import math
 import operator
 
 from . import _linalg
+from ._linalg import to_int
 from ._record import Record
 from .errors import LatticeInputError
-
-
-def _as_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise LatticeInputError(
-            f"{what} must be an integer, got {_linalg.short_repr(x)}")
-    return x
 
 
 class Signature(Record):
@@ -47,9 +41,9 @@ class MukaiVector(Record):
     m: int
 
     def __init__(self, r, c, m):
-        r, m = _as_int(r, "r"), _as_int(m, "m")
-        self.__dict__.update(
-            r=r, c=tuple(_as_int(x, "c entry") for x in c), m=m)
+        r, m = to_int(r, "r"), to_int(m, "m")
+        c = tuple(to_int(x, "c entry") for x in c)
+        self.__dict__.update(r=r, c=c, m=m)
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -78,15 +72,11 @@ class K3LatticeModel(Record):
     ns_gram: tuple[tuple[int, ...], ...]
 
     def __init__(self, picard_rank, ns_gram):
-        rho = _as_int(picard_rank, "picard_rank")
-        if rho < 1:
-            raise LatticeInputError("picard_rank must be positive")
+        rho = to_int(picard_rank, "picard_rank", 1)
         if rho > 20:
             raise LatticeInputError(f"picard_rank {rho} is over 20")
-        gram = _linalg.to_int_matrix(ns_gram)
-        if len(gram) != rho or any(len(row) != rho for row in gram):
-            raise LatticeInputError("ns_gram must be picard_rank x picard_rank")
-        if not _linalg.is_square_symmetric(gram):
+        gram = _linalg.to_int_matrix(ns_gram, rho, "ns_gram")
+        if not _linalg.is_symmetric(gram):
             raise LatticeInputError("ns_gram must be symmetric")
         if any(gram[i][i] % 2 != 0 for i in range(rho)):
             raise LatticeInputError("ns_gram diagonal must be even")
@@ -118,10 +108,7 @@ def _build_mukai_gram(ns_gram):
 
 def rank_one_model(d: int) -> K3LatticeModel:
     """Rank-one model whose polarization has self-intersection 2d."""
-    d = _as_int(d, "d")
-    if d < 1:
-        raise LatticeInputError("d must be positive")
-    return K3LatticeModel(1, ((2 * d,),))
+    return K3LatticeModel(1, ((2 * to_int(d, "d", 1),),))
 
 
 def structure_sheaf_vector(model: K3LatticeModel) -> MukaiVector:
@@ -129,13 +116,19 @@ def structure_sheaf_vector(model: K3LatticeModel) -> MukaiVector:
     return MukaiVector(1, (0,) * model.picard_rank, 1)
 
 
-def line_bundle_vector(model: K3LatticeModel, divisor) -> MukaiVector:
-    """Mukai vector (1, D, D^2/2 + 1) of the line bundle with class D."""
-    d_vec = tuple(_as_int(x, "divisor entry") for x in divisor)
+def _divisor(model: K3LatticeModel, divisor):
+    """(D, G D, D^2) for an NS class D given as integers of the model's rank."""
+    d_vec = tuple(to_int(x, "divisor entry") for x in divisor)
     if len(d_vec) != model.picard_rank:
         raise LatticeInputError("divisor length must equal picard_rank")
-    sq = ns_product(model, d_vec, d_vec)
-    return MukaiVector(1, d_vec, sq // 2 + 1)
+    gd = _linalg.mat_vec(model.ns_gram, d_vec)
+    return d_vec, gd, sum(map(operator.mul, d_vec, gd))
+
+
+def line_bundle_vector(model: K3LatticeModel, divisor) -> MukaiVector:
+    """Mukai vector (1, D, D^2/2 + 1) of the line bundle with class D."""
+    d_vec, _, d_sq = _divisor(model, divisor)
+    return MukaiVector._of(r=1, c=d_vec, m=d_sq // 2 + 1)
 
 
 def _check_vector(model: K3LatticeModel, v: MukaiVector, name: str = "vector"):
@@ -157,7 +150,8 @@ def mukai_pairing(model: K3LatticeModel, v: MukaiVector, w: MukaiVector) -> int:
     """<v, w> = c_v . c_w - r_v m_w - r_w m_v, exactly."""
     _check_vector(model, v, "v")
     _check_vector(model, w, "w")
-    return ns_product(model, v.c, w.c) - v.r * w.m - w.r * v.m
+    cc = sum(map(operator.mul, v.c, _linalg.mat_vec(model.ns_gram, w.c)))
+    return cc - v.r * w.m - w.r * v.m
 
 
 def euler_pairing(model: K3LatticeModel, v: MukaiVector, w: MukaiVector) -> int:
@@ -178,8 +172,8 @@ def signature_of(gram) -> Signature:
     """Signature of any symmetric integer matrix, degenerate ones included,
     read off the signs of its exact characteristic polynomial."""
     rows = _linalg.to_int_matrix(gram)
-    if rows and not _linalg.is_square_symmetric(rows):
-        raise LatticeInputError("signature_of needs a square symmetric matrix")
+    if not _linalg.is_symmetric(rows):
+        raise LatticeInputError("signature_of needs a symmetric matrix")
     plus, minus, zero = _linalg.inertia(rows)
     return Signature(plus, minus, zero)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 from . import _linalg
+from ._linalg import to_int
 from ._record import Record
 from .errors import LatticeInputError, SearchExhaustedError
 from .lattice import (
@@ -43,10 +44,8 @@ class Rank2Form(Record):
     gram: tuple[tuple[int, ...], ...]
 
     def __init__(self, gram):
-        g = _linalg.to_int_matrix(gram)
-        if len(g) != 2 or any(len(row) != 2 for row in g):
-            raise LatticeInputError("rank-2 form needs a 2x2 matrix")
-        if g[0][1] != g[1][0]:
+        g = _linalg.to_int_matrix(gram, 2, "rank-2 form")
+        if not _linalg.is_symmetric(g):
             raise LatticeInputError("rank-2 form must be symmetric")
         self.__dict__.update(gram=g)
 
@@ -132,9 +131,7 @@ def find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
         raise LatticeInputError(
             f"search needs a spherical class, got square {square(model, s)}"
         )
-    if isinstance(search_bound, bool) or not isinstance(search_bound, int) \
-            or search_bound < 1:
-        raise LatticeInputError("search_bound must be a positive integer")
+    to_int(search_bound, "search_bound", 1)
     basis = orthogonal_complement_basis(model, [s])
     gram = pairing_matrix(model, basis)
     first_positive = None

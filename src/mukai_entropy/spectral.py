@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 
 from . import _linalg
-from ._linalg import _closed_form_parts, _square_part
+from ._linalg import _closed_form_parts, _square_part, to_int
 from ._record import Record
 from .errors import CertificationError, LatticeInputError
 
@@ -42,10 +42,7 @@ class CharPoly(Record):
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs):
-        for c in coeffs:
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise LatticeInputError("coefficients must be integers")
-        coeffs = tuple(coeffs)
+        coeffs = tuple(to_int(c, "coefficient") for c in coeffs)
         if not coeffs or coeffs[-1] not in (1, -1):
             raise LatticeInputError("leading coefficient must be +-1")
         self.__dict__.update(coeffs=coeffs)
@@ -75,17 +72,12 @@ class CertifiedRadius(Record):
         self.__dict__.update(value=value, lo=lo, hi=hi, tolerance=tolerance)
 
 
-def _check_square_int(matrix) -> tuple[tuple[int, ...], ...]:
-    rows = _linalg.to_int_matrix(matrix)
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise LatticeInputError("matrix must be square and non-empty")
-    return rows
-
-
 def char_poly(matrix) -> CharPoly:
-    """Exact characteristic polynomial of a square integer matrix."""
-    return CharPoly(tuple(_linalg.char_poly_coeffs(_check_square_int(matrix))))
+    """Exact characteristic polynomial of a non-empty square integer matrix."""
+    rows = _linalg.to_int_matrix(matrix)
+    if not rows:
+        raise LatticeInputError("matrix must be non-empty")
+    return CharPoly._of(coeffs=tuple(_linalg.char_poly_coeffs(rows)))
 
 
 # --- polynomial helpers ------------------------------------------------------
@@ -236,7 +228,9 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     eigenvalue modulus is at most hi, and at least one eigenvalue modulus is
     at least lo. Deterministic for fixed input and tolerance.
     """
-    rows = _check_square_int(matrix)
+    rows = _linalg.to_int_matrix(matrix)
+    if not rows:
+        raise LatticeInputError("matrix must be non-empty")
     if not (tolerance > 0 and math.isfinite(tolerance)):
         raise LatticeInputError("tolerance must be positive and finite")
     coeffs = _linalg.char_poly_coeffs(rows)
@@ -368,8 +362,7 @@ class QuadraticSurd(Record):
     def __init__(self, a, b, root):
         a = a if type(a) is Fraction else Fraction(a)
         b = b if type(b) is Fraction else Fraction(b)
-        if isinstance(root, bool) or not isinstance(root, int) or root < 0:
-            raise LatticeInputError("surd root must be a non-negative integer")
+        root = to_int(root, "surd root", 0)
         if b != 0 and root > 1:
             f, root = _square_part(root)
             if f > 1:
@@ -466,9 +459,7 @@ def radius_closed_form(d: int) -> QuadraticSurd:
     square part of d^2 - 4d = (d - 2)^2 - 4 (never a square) takes up to
     about d^(1/3) / 2 trial divisions, when d and d - 4 are both prime.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise LatticeInputError("d must be a positive integer")
-    if d <= 4:
+    if to_int(d, "d", 1) <= 4:
         return QuadraticSurd.from_rational(1)
     f, core = _closed_form_parts(d)
     return QuadraticSurd._of(a=Fraction(d - 2, 2), b=Fraction(f, 2), root=core)
@@ -499,4 +490,4 @@ def matrix_from_obj(data) -> tuple[tuple[int, ...], ...]:
         data = data["matrix"]
     if not isinstance(data, list) or not data:
         raise LatticeInputError("matrix must be a non-empty nested list")
-    return _check_square_int(data)
+    return _linalg.to_int_matrix(data)

@@ -386,6 +386,29 @@ def test_ext_recursion_below_the_default_limit_runs_without_one(no_digit_limit):
     assert code == 0 and len(out.splitlines()[-1].split(",")[1]) == 4201
 
 
+@pytest.mark.parametrize("form", ["inline", "file"])
+def test_long_json_integers_exit_two_without_a_limit(no_digit_limit, tmp_path,
+                                                     form):
+    # int() of such a literal is quadratic in its digits, and pair would
+    # print a result twice as long
+    vector = '{"r": ' + "7" * 400_000 + ', "c": [0], "m": 1}'
+    if form == "file":
+        path = tmp_path / "v.json"
+        path.write_text(vector, encoding="utf-8")
+        vector = str(path)
+    start = time.perf_counter()
+    code, out, err = run_cli("pair", "--lattice", MODEL_D2, "--v", vector,
+                             "--w", SPHERE)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "4300" in err
+    # a literal at the limit, sign not counted, is read
+    code, out, _ = run_cli("pair", "--lattice", MODEL_D2, "--v",
+                           '{"r": -' + "7" * 4300 + ', "c": [0], "m": 1}',
+                           "--w", SPHERE)
+    assert code == 0 and len(str(json.loads(out)["mukai"])) == 4300
+
+
 def tridiagonal_model(rho):
     return json.dumps({"picard_rank": rho, "ns_gram": tridiagonal_gram(rho)})
 

@@ -101,6 +101,32 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
+def _is_int_check(node) -> bool:
+    """Whether node is isinstance(x, int) or isinstance(x, (..., int, ...))."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    kinds = node.args[1]
+    names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return any(isinstance(n, ast.Name) and n.id == "int" for n in names)
+
+
+def test_only_linalg_refuses_non_integers():
+    # an integer argument is checked by _linalg.to_int, whose message names
+    # the argument, the kind of integer and the bad value; no other module
+    # spells not isinstance(..., int)
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files if path.name != "_linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+        and _is_int_check(node.operand)
+    ]
+    assert found == []
+
+
 def _stdout_of(code: str) -> str:
     """What code prints when run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
