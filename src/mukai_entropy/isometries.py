@@ -174,28 +174,18 @@ def power(a: Isometry, n: int) -> Isometry:
                         label=f"power[{a.label},{n}]")
 
 
-def polarization_degree(model: K3LatticeModel) -> int:
-    """Half the self-intersection of the first NS basis vector.
-
-    The first basis vector plays the role of the polarization by convention;
-    it must have positive even square.
-    """
-    h_sq = model.ns_gram[0][0]
-    if h_sq <= 0:
-        raise LatticeInputError(
-            "polarization (first NS basis vector) must have positive square"
-        )
-    return h_sq // 2
-
-
 def twist_tensor_action(model: K3LatticeModel) -> Isometry:
     """Twist along (1, 0, 1) composed after tensoring by the dual polarization.
 
     This is the family whose spectral radius stays far below its entropy
     growth rate; on the polarized rank-3 sublattice it acts by
     [[-d, 2d, -1], [-1, 1, 0], [-1, 0, 0]] where 2d is the polarization degree.
+    The first NS basis vector is the polarization by convention.
     """
-    polarization_degree(model)
+    if model.ns_gram[0][0] <= 0:
+        raise LatticeInputError(
+            "polarization (first NS basis vector) must have positive square"
+        )
     rho = model.picard_rank
     minus_h = (-1,) + (0,) * (rho - 1)
     twist = spherical_twist_action(model, structure_sheaf_vector(model))

@@ -160,17 +160,23 @@ def find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
 
 def _perturb_square_case(model: K3LatticeModel, s: MukaiVector,
                          v: MukaiVector) -> MukaiVector:
+    """N v + u for the least N with 2 (N v + u)^2 not a square.
+
+    u is orthogonal to s and v, so (N v + u)^2 = N^2 v^2 + u^2: each N costs
+    two integers, and only the answer is built as a vector and checked.
+    """
     basis = orthogonal_complement_basis(model, [s, v])
-    u = _anisotropic_combination(model, basis)
+    u = _anisotropic_combination(basis, pairing_matrix(model, basis))
     if u is None:
         raise SearchExhaustedError(
             "no anisotropic perturbation direction orthogonal to s and v"
         )
+    qv, qu = square(model, v), square(model, u)
     for n in range(1, _PERTURBATION_BUDGET + 1):
-        w = add_vectors(scale_vector(n, v), u)
-        q = square(model, w)
+        q = n * n * qv + qu
         if q > 0 and not is_perfect_square(2 * q):
-            if mukai_pairing(model, w, s) != 0:
+            w = add_vectors(scale_vector(n, v), u)
+            if mukai_pairing(model, w, s) != 0 or square(model, w) != q:
                 raise RuntimeError(f"search hit {w} fails its own check")
             return sign_normalized(primitive_vector(w))
     raise SearchExhaustedError(
@@ -178,16 +184,19 @@ def _perturb_square_case(model: K3LatticeModel, s: MukaiVector,
     )
 
 
-def _anisotropic_combination(model, basis):
-    for u in basis:
-        if square(model, u) != 0:
-            return u
+def _anisotropic_combination(basis, gram):
+    """A basis vector, else a sum of two, with nonzero square under gram.
+
+    Once every b_i^2 is 0, (b_i +- b_j)^2 = +-2 <b_i, b_j>, so the sum is
+    isotropic exactly when the difference is.
+    """
+    for i, b in enumerate(basis):
+        if gram[i][i]:
+            return b
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            for cand in (add_vectors(basis[i], basis[j]),
-                         add_vectors(basis[i], scale_vector(-1, basis[j]))):
-                if square(model, cand) != 0:
-                    return cand
+            if gram[i][j]:
+                return add_vectors(basis[i], basis[j])
     return None
 
 

@@ -482,12 +482,11 @@ def radius_to_dict(r: CertifiedRadius) -> dict:
     return {"value": r.value, "lo": str(r.lo), "hi": str(r.hi)}
 
 
-def matrix_from_obj(data) -> tuple[tuple[int, ...], ...]:
-    """Accept either {"matrix": [[...]]} or a bare [[...]] nested list."""
+def matrix_from_obj(data):
+    """The matrix of {"matrix": [[...]]}, or data itself; char_poly and
+    spectral_radius check it."""
     if isinstance(data, dict):
         if "matrix" not in data:
             raise LatticeInputError("matrix JSON needs key 'matrix'")
         data = data["matrix"]
-    if not isinstance(data, list) or not data:
-        raise LatticeInputError("matrix must be a non-empty nested list")
-    return _linalg.to_int_matrix(data)
+    return data

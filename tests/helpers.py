@@ -498,13 +498,44 @@ def _oracle_class(basis, coeffs) -> MukaiVector:
     return sign_normalized(primitive_vector(v))
 
 
+def _oracle_anisotropic_direction(model: K3LatticeModel, basis):
+    """A basis vector, else b_i + b_j, else b_i - b_j, of nonzero square."""
+    for u in basis:
+        if oracle_pairing(model, u, u) != 0:
+            return u
+    for a, b in combinations(basis, 2):
+        for cand in (add_vectors(a, b), add_vectors(a, scale_vector(-1, b))):
+            if oracle_pairing(model, cand, cand) != 0:
+                return cand
+    return None
+
+
+def oracle_perturb_square_case(model: K3LatticeModel, s: MukaiVector,
+                               v: MukaiVector) -> MukaiVector:
+    """The N v + u repair with N v + u built as a MukaiVector and squared by
+    index loops for every N; u comes from the package's complement basis of
+    {s, v}, so both pick the same direction."""
+    from mukai_entropy.orthosearch import _PERTURBATION_BUDGET
+
+    u = _oracle_anisotropic_direction(
+        model, orthogonal_complement_basis(model, [s, v]))
+    if u is None:
+        raise SearchExhaustedError("no anisotropic perturbation direction")
+    for n in range(1, _PERTURBATION_BUDGET + 1):
+        w = add_vectors(scale_vector(n, v), u)
+        q = oracle_pairing(model, w, w)
+        if q > 0 and not is_perfect_square(2 * q):
+            if oracle_pairing(model, w, s) != 0:
+                raise AssertionError(f"repair {w} is not orthogonal to s")
+            return sign_normalized(primitive_vector(w))
+    raise SearchExhaustedError("perturbation budget exhausted")
+
+
 def oracle_find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
                                     bound: int) -> MukaiVector:
     """The orthogonal-class search over sorted whole shells, building and
-    squaring a MukaiVector for every candidate. The N v + u repair is the
-    package's own; only the candidate order and test are recomputed."""
-    from mukai_entropy.orthosearch import _perturb_square_case
-
+    squaring a MukaiVector for every candidate, and the N v + u repair by
+    oracle_perturb_square_case."""
     basis = orthogonal_complement_basis(model, [s])
     first_positive = None
     for coeffs in oracle_coefficient_shells(len(basis), bound):
@@ -518,7 +549,7 @@ def oracle_find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
             first_positive = v
     if first_positive is None:
         raise SearchExhaustedError("no positive class in the box")
-    return _perturb_square_case(model, s, first_positive)
+    return oracle_perturb_square_case(model, s, first_positive)
 
 
 def oracle_search_per_candidate_q(model: K3LatticeModel, s: MukaiVector,
@@ -526,12 +557,9 @@ def oracle_search_per_candidate_q(model: K3LatticeModel, s: MukaiVector,
     """The orthogonal-class search with q = c^T G c summed afresh for every
     candidate over its support, on the k^2-pairing Gram matrix. The lazy
     candidate order (pinned against oracle_coefficient_shells by its own
-    test) and the N v + u repair are the package's; the square carried
-    along the walk is discarded."""
-    from mukai_entropy.orthosearch import (
-        _coefficient_shells,
-        _perturb_square_case,
-    )
+    test) is the package's; the square carried along the walk is discarded,
+    and the N v + u repair is oracle_perturb_square_case."""
+    from mukai_entropy.orthosearch import _coefficient_shells
 
     basis = orthogonal_complement_basis(model, [s])
     gram = oracle_pairing_matrix(model, basis)
@@ -549,7 +577,8 @@ def oracle_search_per_candidate_q(model: K3LatticeModel, s: MukaiVector,
             first_positive = coeffs
     if first_positive is None:
         raise SearchExhaustedError("no positive class in the box")
-    return _perturb_square_case(model, s, _oracle_class(basis, first_positive))
+    return oracle_perturb_square_case(model, s,
+                                      _oracle_class(basis, first_positive))
 
 
 def oracle_iterated_chi(n: int, i: int, k: int, d: int) -> int:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import tridiagonal_gram
-from mukai_entropy import cli, entropy, orthosearch, spectral
+from mukai_entropy import _linalg, cli, entropy, orthosearch, spectral
 from mukai_entropy.cli import main
 from mukai_entropy.lattice import model_from_dict, vector_from_dict
 from mukai_entropy.isometries import isometry_from_dict
@@ -125,9 +125,11 @@ def test_non_finite_tolerance_exits_two(monkeypatch):
             "spectral-radius", "--matrix", "[[2,1],[1,1]]", "--tol", tol
         )
         assert code == 2 and "error" in err
-    monkeypatch.setenv("MUKAI_ENTROPY_TOL", "inf")
-    code, _, err = run_cli("spectral-radius", "--matrix", "[[2,1],[1,1]]")
-    assert code == 2 and "error" in err
+    # spectral_radius refuses these; the CLI reads the variable as a float
+    for tol in ("inf", "nan", "0", "-1e-9"):
+        monkeypatch.setenv("MUKAI_ENTROPY_TOL", tol)
+        code, out, err = run_cli("spectral-radius", "--matrix", "[[2,1],[1,1]]")
+        assert (code, out) == (2, "") and "error" in err
 
 
 def test_subnormal_tolerance_is_certified(monkeypatch):
@@ -160,8 +162,9 @@ def test_gy_gap_sweep_ordering():
     rows = out.strip().split("\n")[1:]
     assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4", "5", "6"]
     assert all(float(row.split(",")[4]) > 0 for row in rows)
-    code, _, _ = run_cli("gy-gap", "--d-min", "3", "--d-max", "1")
-    assert code == 2
+    for d_min, d_max in ((3, 1), (0, 5), (-3, 2)):
+        code, out, _ = run_cli("gy-gap", f"--d-min={d_min}", f"--d-max={d_max}")
+        assert (code, out) == (2, "")
 
 
 def test_gy_gap_refuses_d_past_cap(monkeypatch):
@@ -557,9 +560,79 @@ def test_byte_determinism():
 
 
 def test_matrix_reader_accepts_both_shapes():
-    assert matrix_from_obj([[1, 0], [0, 1]]) == ((1, 0), (0, 1))
+    assert matrix_from_obj([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
     code, out, _ = run_cli("char-poly", "--matrix", "[[1,0],[0,1]]")
     assert code == 0 and json.loads(out) == {"coeffs": [1, -2, 1]}
+
+
+@pytest.mark.parametrize("matrix", ["[[1,2],[3,4]]",
+                                    '{"matrix": [[1,2],[3,4]]}'])
+def test_char_poly_checks_the_matrix_once(monkeypatch, matrix):
+    calls = []
+    real = _linalg.to_int_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_linalg, "to_int_matrix", counted)
+    code, out, _ = run_cli("char-poly", "--matrix", matrix)
+    assert code == 0 and json.loads(out) == {"coeffs": [-2, -5, 1]}
+    assert len(calls) == 1
+
+
+def test_matrix_shape_errors_come_from_the_routines():
+    # matrix_from_obj only unwraps; char_poly and spectral_radius refuse
+    for command in ("char-poly", "spectral-radius"):
+        for matrix in ("[]", '{"matrix": []}', '{"matrix": 5}',
+                       '{"matrix": [[1, 2]]}'):
+            code, out, err = run_cli(command, "--matrix", matrix)
+            assert (code, out) == (2, ""), (command, matrix)
+            assert err.startswith("error: ")
+
+
+def test_non_utf8_json_file_exits_two(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"matrix": [[1]], "label": "\u00e9"}'.encode("latin-1"))
+    code, out, err = run_cli("char-poly", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad JSON in {path}: ")
+    code, out, err = run_cli("char-poly", "--matrix",
+                             str(tmp_path / "missing.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {tmp_path / 'missing.json'}: ")
+
+
+def _square_case_lattice(exponent):
+    # no class of the bound-1 box has 2 v^2 non-square, so the search
+    # repairs v = (1, 0, -1), of square 2, as N v + u with u = (0, (0, 1), 0)
+    # of square -2 10^exponent: N v + u is positive only past
+    # N = 10^(exponent / 2)
+    return (f'{{"picard_rank": 2, "ns_gram": [[0, 1], '
+            f'[1, -2{"0" * exponent}]]}}')
+
+
+def test_square_case_search_exits_four_quickly():
+    # the repair needs N past its budget of 10^6 here; it costs two
+    # integers per N, so the exhausted search ends in well under a second
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        "complement-search", "--lattice", _square_case_lattice(12),
+        "--s", '{"r": 1, "c": [0, 0], "m": 1}', "--bound", "1")
+    assert time.perf_counter() - start < 4.0
+    assert (code, out) == (4, "")
+    assert err == ("search exhausted: perturbation budget exhausted "
+                   "without breaking squareness\n")
+
+
+def test_square_case_search_repairs_at_large_n():
+    code, out, err = run_cli(
+        "complement-search", "--lattice", _square_case_lattice(11),
+        "--s", '{"r": 1, "c": [0, 0], "m": 1}', "--bound", "1")
+    assert (code, err) == (0, "")
+    assert out == ('{"v": {"r": 316228,"c": [0,1],"m": -316228},'
+                   '"v_squared": 295968,"twice_square": 591936,'
+                   '"is_square": false}\n')
 
 
 def test_non_integer_matrix_entries_are_input_errors():

@@ -7,6 +7,7 @@ from helpers import (
     basis_spherical_class,
     oracle_coefficient_shells,
     oracle_find_positive_orthogonal,
+    oracle_perturb_square_case,
     oracle_search_per_candidate_q,
     random_k3_model,
     random_spherical,
@@ -234,15 +235,70 @@ def test_perturbed_result_is_checked_explicitly(monkeypatch):
     assert info.traceback[-1].name == "_perturb_square_case"
 
 
+def test_perturbed_square_is_checked_explicitly(monkeypatch):
+    # an answer N v + u whose square is not the q the loop accepted must
+    # raise even under python -O; doubling the built vector keeps it
+    # orthogonal to s, so only the square check can catch it
+    from mukai_entropy import orthosearch
+
+    model = K3LatticeModel(3, ((2, 0, 0), (0, -4, 2), (0, 2, -2)))
+    s = V(-1, (0, 1, -1), 4)
+    real = orthosearch.add_vectors
+    monkeypatch.setattr(orthosearch, "add_vectors",
+                        lambda a, b: scale_vector(2, real(a, b)))
+    with pytest.raises(RuntimeError, match="fails its own check") as info:
+        find_positive_orthogonal(model, s, 1)
+    assert info.traceback[-1].name == "_perturb_square_case"
+
+
 def test_anisotropic_combination_falls_back_to_sums():
-    from mukai_entropy.lattice import K3LatticeModel
     from mukai_entropy.orthosearch import _anisotropic_combination
 
     model = K3LatticeModel(2, ((0, 1), (1, 0)))
     isotropic = [V(0, (1, 0), 0), V(0, (0, 1), 0)]
-    combo = _anisotropic_combination(model, isotropic)
-    assert combo is not None and square(model, combo) != 0
-    assert _anisotropic_combination(model, []) is None
+    combo = _anisotropic_combination(isotropic,
+                                     pairing_matrix(model, isotropic))
+    assert combo == V(0, (1, 1), 0) and square(model, combo) != 0
+    # only the last pair, (1, 0, 0, 0) and (0, 0, 0, 1), pairs non-zero
+    later = [V(0, (1, 0), 0), V(1, (0, 0), 0), V(0, (0, 0), 1)]
+    combo = _anisotropic_combination(later, pairing_matrix(model, later))
+    assert combo == V(1, (0, 0), 1) and square(model, combo) == -2
+    assert _anisotropic_combination([], ()) is None
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_repair_matches_per_n_vector_oracle(seed):
+    # every positive complement basis vector v of s, square 2 v^2 or not,
+    # repaired through two integers per N and through a vector per N
+    rng = random.Random(seed)
+    rho = 1 + seed % 6
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 6)) if seed % 2 \
+        else random_k3_model(rng, rho)
+    s = _moved_spherical(rng, model)
+    for v in orthogonal_complement_basis(model, [s]):
+        if square(model, v) > 0:
+            assert orthosearch._perturb_square_case(model, s, v) == \
+                oracle_perturb_square_case(model, s, v)
+
+
+@pytest.mark.parametrize("model, s, v, built", [
+    # u = b_1 + b_2: every complement basis vector of {s, v} is isotropic
+    (K3LatticeModel(2, ((2, 2), (2, 0))), V(-1, (0, 1), -1),
+     V(-1, (0, 0), 1), 2),
+    (rank_one_model(1), S, V(0, (1,), 0), 1),
+])
+def test_repair_builds_at_most_two_vectors(monkeypatch, model, s, v, built):
+    calls = []
+    real = orthosearch.add_vectors
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(orthosearch, "add_vectors", counted)
+    repaired = orthosearch._perturb_square_case(model, s, v)
+    assert repaired == oracle_perturb_square_case(model, s, v)
+    assert len(calls) == built
 
 
 def test_rank2_isotropy_free_values():

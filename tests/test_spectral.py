@@ -662,8 +662,8 @@ def test_radius_json_and_matrix_reader():
     data = radius_to_dict(rad)
     assert set(data) == {"value", "lo", "hi"}
     assert Fraction(data["lo"]) == rad.lo
-    assert matrix_from_obj({"matrix": [[1, 0], [0, 1]]}) == ((1, 0), (0, 1))
-    assert matrix_from_obj([[2]]) == ((2,),)
+    assert matrix_from_obj({"matrix": [[1, 0], [0, 1]]}) == [[1, 0], [0, 1]]
+    assert matrix_from_obj([[2]]) == [[2]]
     with pytest.raises(LatticeInputError):
         matrix_from_obj({"rows": []})
 
