@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from ._linalg import short_repr
 from .errors import (
@@ -117,6 +116,7 @@ def _load_vector(value: str):
 
 
 def _parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
     # Fraction builds 10**e for an exponent e, so one past the digit limit
     # is refused first; a malformed exponent is left to Fraction to refuse
     limit = _int_digit_limit()

@@ -110,8 +110,10 @@ def h0_line_bundle(k: int, d: int) -> int:
     Positivity of k is required; it is what kills the higher cohomology and
     turns the Euler characteristic into a dimension.
     """
-    k = to_int(k, "k", 1)
-    d = to_int(d, "d", 1)
+    return _h0(to_int(k, "k", 1), to_int(d, "d", 1))
+
+
+def _h0(k: int, d: int) -> int:
     return k * k * d + 2
 
 
@@ -127,12 +129,8 @@ def ext_top_dim(n: int, i: int, k: int, d: int) -> int:
     k = to_int(k, "k", 1)
     d = to_int(d, "d", 1)
     if n == 0:
-        return h0_line_bundle(i + k, d)
-    return (
-        h0_line_bundle(i + 1, d)
-        * h0_line_bundle(1, d) ** (n - 1)
-        * h0_line_bundle(k, d)
-    )
+        return _h0(i + k, d)
+    return _h0(i + 1, d) * (d + 2) ** (n - 1) * _h0(k, d)
 
 
 def hom_growth_lower_bound(n: int, i: int, d: int) -> int:
@@ -198,8 +196,8 @@ def ext_recursion_table(d: int, i: int, k: int, n_max: int) -> ExtRecursionTable
     g_o = _linalg.mat_vec(model.mukai_gram, structure_sheaf_vector(model).coords)
     chi_row = [-x for x in _linalg.mat_vec(_linalg.transpose(tensor_k), g_o)]
     moved = (1, -i, i * i * d + 1)
-    top_dim, growth = h0_line_bundle(i + k, d), 1
-    next_top = h0_line_bundle(i + 1, d) * h0_line_bundle(k, d)
+    top_dim, growth = _h0(i + k, d), 1
+    next_top = _h0(i + 1, d) * _h0(k, d)
     rows = []
     for n in range(n_max + 1):
         if n:

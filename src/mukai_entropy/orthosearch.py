@@ -11,8 +11,6 @@ but finitely many N.
 
 from __future__ import annotations
 
-import math
-
 from . import _linalg
 from ._linalg import to_int
 from ._record import Record
@@ -72,16 +70,16 @@ def rank2_isotropy_free(model: K3LatticeModel, s: MukaiVector,
     return not is_perfect_square(2 * square(model, v))
 
 
-def _coefficient_shells(gram, bound: int):
-    """Pairs (c, c^T G c), c of sup norm r for r = 1..bound, shortest first.
+def _positive_classes(gram, bound: int):
+    """Pairs (c, q) with q = c^T G c > 0, c of sup norm r = 1..bound in turn.
 
     Within a shell the order is by L1 norm, then lexicographic. Each L1 level
     is walked depth first with values ascending, so tuples come out lazily in
     that order; a branch is entered only when its remaining L1 budget can
     still be spent with entries in [-r, r] and reach |entry| = r somewhere,
-    so every branch yields. The square is carried down the walk: setting
-    entry i to x adds x (x g_ii + 2 sum_{j<i} c_j g_ij), with the sum taken
-    once per node over the nonzero prefix, and x = 0 adds nothing.
+    so every branch ends in a tuple. The square is carried down the walk:
+    setting entry i to x adds x (x g_ii + 2 sum_{j<i} c_j g_ij), with the sum
+    taken once per node over the nonzero prefix, and x = 0 adds nothing.
     """
     rank = len(gram)
     coeffs = [0] * rank
@@ -89,7 +87,8 @@ def _coefficient_shells(gram, bound: int):
 
     def walk(i, r, rest, hit, q):
         if i == rank:
-            yield tuple(coeffs), q
+            if q > 0:
+                yield tuple(coeffs), q
             return
         row = gram[i]
         cross = 2 * sum(coeffs[j] * row[j] for j in support)
@@ -112,10 +111,13 @@ def _coefficient_shells(gram, bound: int):
             yield from walk(0, r, l1, False, 0)
 
 
-def _primitive_class(basis, coeffs) -> MukaiVector:
-    coords = tuple(sum(c * x for c, x in zip(coeffs, column))
-                   for column in zip(*(b.coords for b in basis)))
-    return sign_normalized(primitive_vector(MukaiVector.from_coords(coords)))
+def _checked_answer(model: K3LatticeModel, s: MukaiVector, w: MukaiVector,
+                    q: int) -> MukaiVector:
+    """w made primitive and sign-normalized, once <w, s> = 0 and w^2 = q
+    are checked by an explicit raise, which python -O keeps."""
+    if mukai_pairing(model, w, s) != 0 or square(model, w) != q:
+        raise RuntimeError(f"search hit {w} fails its own check")
+    return sign_normalized(primitive_vector(w))
 
 
 def find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
@@ -133,20 +135,17 @@ def find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
         )
     to_int(search_bound, "search_bound", 1)
     basis = orthogonal_complement_basis(model, [s])
-    gram = pairing_matrix(model, basis)
+    columns = _linalg.transpose([b.coords for b in basis])
     first_positive = None
-    for coeffs, q in _coefficient_shells(gram, search_bound):
-        if q <= 0:
-            continue
-        # the basis is saturated (columns of a unimodular matrix), so the
-        # content of the class is the gcd of its coefficients
-        g = math.gcd(*coeffs)
-        q //= g * g
+    # no content gcd: a class g c' with g > 1 comes after c', a shell earlier
+    # at sup norm r / g, and 2 g^2 q' is a square exactly when 2 q' is; so
+    # the first hit and the first positive class are primitive, and so is
+    # B c, since B is a set of columns of a unimodular matrix
+    for coeffs, q in _positive_classes(pairing_matrix(model, basis),
+                                       search_bound):
         if not is_perfect_square(2 * q):
-            v = _primitive_class(basis, coeffs)
-            if square(model, v) != q or mukai_pairing(model, v, s) != 0:
-                raise RuntimeError(f"search hit {v} fails its own check")
-            return v
+            w = MukaiVector.from_coords(_linalg.mat_vec(columns, coeffs))
+            return _checked_answer(model, s, w, q)
         if first_positive is None:
             first_positive = coeffs
     if first_positive is None:
@@ -154,8 +153,8 @@ def find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
             f"no positive orthogonal class within coefficient bound "
             f"{search_bound}; raise the bound"
         )
-    return _perturb_square_case(model, s,
-                                _primitive_class(basis, first_positive))
+    v = MukaiVector.from_coords(_linalg.mat_vec(columns, first_positive))
+    return _perturb_square_case(model, s, sign_normalized(v))
 
 
 def _perturb_square_case(model: K3LatticeModel, s: MukaiVector,
@@ -176,9 +175,7 @@ def _perturb_square_case(model: K3LatticeModel, s: MukaiVector,
         q = n * n * qv + qu
         if q > 0 and not is_perfect_square(2 * q):
             w = add_vectors(scale_vector(n, v), u)
-            if mukai_pairing(model, w, s) != 0 or square(model, w) != q:
-                raise RuntimeError(f"search hit {w} fails its own check")
-            return sign_normalized(primitive_vector(w))
+            return _checked_answer(model, s, w, q)
     raise SearchExhaustedError(
         "perturbation budget exhausted without breaking squareness"
     )

@@ -555,16 +555,17 @@ def oracle_find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
 def oracle_search_per_candidate_q(model: K3LatticeModel, s: MukaiVector,
                                   bound: int) -> MukaiVector:
     """The orthogonal-class search with q = c^T G c summed afresh for every
-    candidate over its support, on the k^2-pairing Gram matrix. The lazy
-    candidate order (pinned against oracle_coefficient_shells by its own
-    test) is the package's; the square carried along the walk is discarded,
-    and the N v + u repair is oracle_perturb_square_case."""
-    from mukai_entropy.orthosearch import _coefficient_shells
+    candidate over its support, on the k^2-pairing Gram matrix, and divided
+    by the square of the coefficient content. The lazy order of positive
+    classes (pinned against oracle_coefficient_shells by its own test) is
+    the package's; the square carried along the walk is discarded, and the
+    N v + u repair is oracle_perturb_square_case."""
+    from mukai_entropy.orthosearch import _positive_classes
 
     basis = orthogonal_complement_basis(model, [s])
     gram = oracle_pairing_matrix(model, basis)
     first_positive = None
-    for coeffs, _ in _coefficient_shells(gram, bound):
+    for coeffs, _ in _positive_classes(gram, bound):
         support = [(i, c) for i, c in enumerate(coeffs) if c]
         q = sum(c * d * gram[i][j] for i, c in support for j, d in support)
         if q <= 0:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import oracle_iterated_chi, oracle_radius_parts
-from mukai_entropy import _linalg, isometries
+from mukai_entropy import _linalg, entropy, isometries
 from mukai_entropy.entropy import (
     CurvePiece,
     EntropyCurve,
@@ -226,6 +226,30 @@ def test_ext_table_builds_phi_once(monkeypatch):
     table = ext_recursion_table(3, 1, 2, 50)
     assert len(table.rows) == 51
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("call, checks", [
+    (lambda: ext_top_dim(5, 1, 1, 2), 4),
+    (lambda: ext_top_dim(0, 3, 2, 7), 4),
+    (lambda: hom_growth_lower_bound(4, 2, 3), 4),
+    (lambda: iterated_chi(3, 1, 1, rank_one_model(1)), 5),
+    (lambda: ext_recursion_table(2, 1, 1, 3), 4),
+    (lambda: h0_line_bundle(2, 5), 2),
+], ids=["ext_top_dim", "ext_top_dim_n0", "hom_growth_lower_bound",
+        "iterated_chi", "ext_recursion_table", "h0_line_bundle"])
+def test_each_argument_is_checked_once(monkeypatch, call, checks):
+    # the section counts inside these are the unchecked _h0, after the
+    # entry point has checked k and d itself
+    seen = []
+    real = entropy.to_int
+
+    def counting(x, what, least=None):
+        seen.append(what)
+        return real(x, what, least)
+
+    monkeypatch.setattr(entropy, "to_int", counting)
+    call()
+    assert len(seen) == len(set(seen)) == checks
 
 
 def test_gap_reference_values():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from mukai_entropy.lattice import (
     MukaiVector,
     add_vectors,
     doubled_square_is_nonsquare,
+    is_perfect_square,
     mukai_pairing,
     orthogonal_complement_basis,
     pairing_matrix,
@@ -34,7 +36,7 @@ from mukai_entropy.lattice import (
 from mukai_entropy.isometries import spherical_twist_action
 from mukai_entropy.orthosearch import (
     Rank2Form,
-    _coefficient_shells,
+    _positive_classes,
     find_positive_orthogonal,
     rank2_form,
     rank2_isotropy_free,
@@ -91,12 +93,19 @@ def _random_symmetric(rng, rank, entry_bound=9):
     return tuple(tuple(row) for row in g)
 
 
+def _index_loop_square(gram, coeffs):
+    n = len(gram)
+    return sum(coeffs[i] * gram[i][j] * coeffs[j]
+               for i in range(n) for j in range(n))
+
+
 @pytest.mark.parametrize("rank", range(1, 8))
 def test_lazy_shells_match_sorted_oracle(rank):
     gram = _random_symmetric(random.Random(rank), rank)
     for bound in range(1, 4 if rank <= 5 else 3):
-        assert [c for c, _ in _coefficient_shells(gram, bound)] == \
-            list(oracle_coefficient_shells(rank, bound))
+        assert [c for c, _ in _positive_classes(gram, bound)] == \
+            [c for c in oracle_coefficient_shells(rank, bound)
+             if _index_loop_square(gram, c) > 0]
 
 
 _rank_and_bound = st.integers(1, 7).flatmap(lambda rank: st.tuples(
@@ -110,9 +119,25 @@ _rank_and_bound = st.integers(1, 7).flatmap(lambda rank: st.tuples(
 def test_shell_squares_match_quadratic_form(rank_bound, seed):
     rank, bound = rank_bound
     gram = _random_symmetric(random.Random(seed), rank)
-    for coeffs, q in _coefficient_shells(gram, bound):
-        assert q == sum(coeffs[i] * gram[i][j] * coeffs[j]
-                        for i in range(rank) for j in range(rank))
+    for coeffs, q in _positive_classes(gram, bound):
+        assert q > 0
+        assert q == _index_loop_square(gram, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_bound=_rank_and_bound, seed=st.integers(0, 2**32 - 1))
+@example(rank_bound=(1, 3), seed=0)
+@example(rank_bound=(7, 2), seed=0)
+def test_first_positive_class_and_first_hit_are_primitive(rank_bound, seed):
+    # the search takes both without a content gcd: a multiple g c' of a
+    # class c' comes a shell after it, with 2 g^2 q' square iff 2 q' is
+    rank, bound = rank_bound
+    gram = _random_symmetric(random.Random(seed), rank)
+    stream = list(_positive_classes(gram, bound))
+    firsts = stream[:1] + [(c, q) for c, q in stream
+                           if not is_perfect_square(2 * q)][:1]
+    for coeffs, _ in firsts:
+        assert math.gcd(*coeffs) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,6 +245,24 @@ def test_perturbation_repairs_square_case():
     assert mukai_pairing(m1, repaired, S) == 0
 
 
+def _check_failure_caller(model, s, bound):
+    """Name of the function whose answer failed the shared answer check."""
+    with pytest.raises(RuntimeError, match="fails its own check") as info:
+        find_positive_orthogonal(model, s, bound)
+    assert info.traceback[-1].name == "_checked_answer"
+    return info.traceback[-2].name
+
+
+@pytest.mark.parametrize("name", ["mukai_pairing", "square"])
+def test_box_hit_is_checked_explicitly(monkeypatch, name):
+    # (0, 1, 0) at degree two is a hit of the bound-1 box; a pairing with s
+    # or a square that reads one off must raise even under python -O
+    real = getattr(orthosearch, name)
+    monkeypatch.setattr(orthosearch, name, lambda *a: real(*a) + 1)
+    assert _check_failure_caller(rank_one_model(2), S, 1) == \
+        "find_positive_orthogonal"
+
+
 def test_perturbed_result_is_checked_explicitly(monkeypatch):
     # no class of the bound-1 box qualifies, so the search perturbs; a
     # pairing that reads <N v + u, s> != 0 must raise even under python -O
@@ -230,9 +273,7 @@ def test_perturbed_result_is_checked_explicitly(monkeypatch):
     real = orthosearch.mukai_pairing
     monkeypatch.setattr(orthosearch, "mukai_pairing",
                         lambda m, a, b: real(m, a, b) + 1)
-    with pytest.raises(RuntimeError, match="fails its own check") as info:
-        find_positive_orthogonal(model, s, 1)
-    assert info.traceback[-1].name == "_perturb_square_case"
+    assert _check_failure_caller(model, s, 1) == "_perturb_square_case"
 
 
 def test_perturbed_square_is_checked_explicitly(monkeypatch):
@@ -246,9 +287,7 @@ def test_perturbed_square_is_checked_explicitly(monkeypatch):
     real = orthosearch.add_vectors
     monkeypatch.setattr(orthosearch, "add_vectors",
                         lambda a, b: scale_vector(2, real(a, b)))
-    with pytest.raises(RuntimeError, match="fails its own check") as info:
-        find_positive_orthogonal(model, s, 1)
-    assert info.traceback[-1].name == "_perturb_square_case"
+    assert _check_failure_caller(model, s, 1) == "_perturb_square_case"
 
 
 def test_anisotropic_combination_falls_back_to_sums():
