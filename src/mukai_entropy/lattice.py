@@ -3,12 +3,13 @@
 A vector has integer coordinates (r, c_1..c_rho, m) in H^0 + NS + H^4 and the
 pairing is <v, w> = c_v . c_w - r_v * m_w - r_w * m_v, with the NS product
 taken through the model's Gram matrix. Pairings go through _linalg.mat_vec:
-a . G b is one dot product with G b, and pairing_matrix forms G v once per
-vector. Column-vector convention throughout: matrices act on coordinate
-columns ordered (r, c, m).
+c_v . G c_w is one dot product with G c_w, and pairing_matrix forms G c once
+per vector and each entry of its upper triangle once. Column-vector
+convention throughout: matrices act on coordinate columns ordered (r, c, m).
 
 All values are immutable, all functions pure; nothing here ever rounds, so
-results can be compared with ==.
+results can be compared with ==. Complement basis vectors, whose ints the
+package builds itself, skip the constructor's checks (_vector_of).
 """
 
 from __future__ import annotations
@@ -179,13 +180,24 @@ def signature_of(gram) -> Signature:
 
 
 def pairing_matrix(model: K3LatticeModel, vectors) -> tuple[tuple[int, ...], ...]:
-    """Gram matrix of the Mukai pairing on the given vectors, from G v."""
-    vs = list(vectors)
-    for v in vs:
+    """Mukai Gram matrix of the vectors: c_i . (G c_j) - r_i m_j - r_j m_i,
+    G c formed once per vector, the upper triangle computed and mirrored."""
+    rows = []
+    for v in vectors:
         _check_vector(model, v)
-    images = [_linalg.mat_vec(model.mukai_gram, v.coords) for v in vs]
-    return tuple(tuple(sum(map(operator.mul, a.coords, gb)) for gb in images)
-                 for a in vs)
+        rows.append((v.r, v.c, v.m, _linalg.mat_vec(model.ns_gram, v.c)))
+    gram = [[0] * len(rows) for _ in rows]
+    for i, (r, c, m, _) in enumerate(rows):
+        for j, (rj, _, mj, gc) in enumerate(rows[i:], i):
+            gram[i][j] = gram[j][i] = (sum(map(operator.mul, c, gc))
+                                       - r * mj - rj * m)
+    return tuple(map(tuple, gram))
+
+
+def _vector_of(coords) -> MukaiVector:
+    """The vector of coordinates built here as exact ints, unchecked."""
+    r, *c, m = coords
+    return MukaiVector._of(r=r, c=tuple(c), m=m)
 
 
 def orthogonal_complement_basis(model: K3LatticeModel, vectors) -> list[MukaiVector]:
@@ -200,8 +212,7 @@ def orthogonal_complement_basis(model: K3LatticeModel, vectors) -> list[MukaiVec
     n = model.rank
     rows = [_linalg.mat_vec(model.mukai_gram, v.coords) for v in vs]
     _, vcols, pivots = _linalg.column_reduce(rows, n)
-    return [MukaiVector.from_coords(vcols[j]) for j in range(n)
-            if j not in pivots]
+    return [_vector_of(vcols[j]) for j in range(n) if j not in pivots]
 
 
 def is_perfect_square(n: int) -> bool:
@@ -242,9 +253,9 @@ def sign_normalized(v: MukaiVector) -> MukaiVector:
 
 
 def add_vectors(a: MukaiVector, b: MukaiVector) -> MukaiVector:
-    return MukaiVector.from_coords(
-        tuple(x + y for x, y in zip(a.coords, b.coords))
-    )
+    if len(a.c) != len(b.c):
+        raise LatticeInputError(f"NS lengths {len(a.c)} and {len(b.c)} differ")
+    return MukaiVector.from_coords(map(operator.add, a.coords, b.coords))
 
 
 def scale_vector(n: int, v: MukaiVector) -> MukaiVector:

@@ -31,6 +31,7 @@ from .lattice import (
     Signature,
     square,
     vector_to_dict,
+    _vector_of,
 )
 
 _PERTURBATION_BUDGET = 10 ** 6
@@ -71,28 +72,35 @@ def rank2_isotropy_free(model: K3LatticeModel, s: MukaiVector,
 
 
 def _positive_classes(gram, bound: int):
-    """Pairs (c, q) with q = c^T G c > 0, c of sup norm r = 1..bound in turn.
+    """Pairs (c, q) with q = c^T G c > 0, c of sup norm r = 1..bound in turn;
+    G has size at least 1.
 
     Within a shell the order is by L1 norm, then lexicographic. Each L1 level
     is walked depth first with values ascending, so tuples come out lazily in
     that order; a branch is entered only when its remaining L1 budget can
     still be spent with entries in [-r, r] and reach |entry| = r somewhere,
-    so every branch ends in a tuple. The square is carried down the walk:
-    setting entry i to x adds x (x g_ii + 2 sum_{j<i} c_j g_ij), with the sum
-    taken once per node over the nonzero prefix, and x = 0 adds nothing.
+    so every branch ends in a tuple, and the last entry can only be -rest,
+    then +rest (0 when rest = 0): both are tried in closed form, with no
+    call per leaf. The square is carried down the walk: setting entry i to x
+    adds x (x g_ii + 2 sum_{j<i} c_j g_ij), with the sum taken once per node
+    over the nonzero prefix (and carried down as `tail` for the last index).
     """
     rank = len(gram)
+    last = rank - 1
     coeffs = [0] * rank
     support = []
 
-    def walk(i, r, rest, hit, q):
-        if i == rank:
-            if q > 0:
-                yield tuple(coeffs), q
-            return
+    def walk(i, r, rest, hit, q, tail):
         row = gram[i]
-        cross = 2 * sum(coeffs[j] * row[j] for j in support)
-        room = r * (rank - i - 1)
+        if i == last:
+            for x in (-rest, rest) if rest else (0,):
+                leaf = q + x * (x * row[i] + tail)
+                if leaf > 0:
+                    coeffs[i] = x
+                    yield tuple(coeffs), leaf
+            return
+        cross = 2 * sum([coeffs[j] * row[j] for j in support])
+        room = r * (last - i)
         for x in range(-r, r + 1):
             left = rest - abs(x)
             now_hit = hit or abs(x) == r
@@ -101,14 +109,15 @@ def _positive_classes(gram, bound: int):
                 if x:
                     support.append(i)
                     yield from walk(i + 1, r, left, now_hit,
-                                    q + x * (x * row[i] + cross))
+                                    q + x * (x * row[i] + cross),
+                                    tail + 2 * x * gram[last][i])
                     support.pop()
                 else:
-                    yield from walk(i + 1, r, left, now_hit, q)
+                    yield from walk(i + 1, r, left, now_hit, q, tail)
 
     for r in range(1, bound + 1):
         for l1 in range(r, r * rank + 1):
-            yield from walk(0, r, l1, False, 0)
+            yield from walk(0, r, l1, False, 0, 0)
 
 
 def _checked_answer(model: K3LatticeModel, s: MukaiVector, w: MukaiVector,
@@ -135,7 +144,6 @@ def find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
         )
     to_int(search_bound, "search_bound", 1)
     basis = orthogonal_complement_basis(model, [s])
-    columns = _linalg.transpose([b.coords for b in basis])
     first_positive = None
     # no content gcd: a class g c' with g > 1 comes after c', a shell earlier
     # at sup norm r / g, and 2 g^2 q' is a square exactly when 2 q' is; so
@@ -144,8 +152,7 @@ def find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
     for coeffs, q in _positive_classes(pairing_matrix(model, basis),
                                        search_bound):
         if not is_perfect_square(2 * q):
-            w = MukaiVector.from_coords(_linalg.mat_vec(columns, coeffs))
-            return _checked_answer(model, s, w, q)
+            return _checked_answer(model, s, _combination(basis, coeffs), q)
         if first_positive is None:
             first_positive = coeffs
     if first_positive is None:
@@ -153,8 +160,14 @@ def find_positive_orthogonal(model: K3LatticeModel, s: MukaiVector,
             f"no positive orthogonal class within coefficient bound "
             f"{search_bound}; raise the bound"
         )
-    v = MukaiVector.from_coords(_linalg.mat_vec(columns, first_positive))
+    v = _combination(basis, first_positive)
     return _perturb_square_case(model, s, sign_normalized(v))
+
+
+def _combination(basis, coeffs) -> MukaiVector:
+    """B c, summed over the nonzero entries of c and built unchecked."""
+    terms = [[x * y for y in b.coords] for x, b in zip(coeffs, basis) if x]
+    return _vector_of(map(sum, zip(*terms)))
 
 
 def _perturb_square_case(model: K3LatticeModel, s: MukaiVector,

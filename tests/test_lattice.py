@@ -21,6 +21,7 @@ from mukai_entropy.errors import LatticeInputError
 from mukai_entropy.lattice import (
     K3LatticeModel,
     MukaiVector,
+    add_vectors,
     doubled_square_is_nonsquare,
     euler_pairing,
     is_spherical_class,
@@ -116,12 +117,17 @@ def test_ns_product_rejects_long_vectors():
 
 @settings(max_examples=40, deadline=None)
 @given(rho=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
-       k=st.integers(0, 6))
-@example(rho=20, seed=22, k=6)
-def test_pairings_match_double_loop_oracles(rho, seed, k):
+       k=st.integers(0, 22), huge=st.booleans())
+@example(rho=20, seed=22, k=6, huge=False)
+@example(rho=20, seed=20, k=22, huge=True)
+def test_pairings_match_double_loop_oracles(rho, seed, k, huge):
+    # up to rank-many vectors, with entries near +-10^30 when huge
     rng = random.Random(seed)
     model = unimodular_k3_model(rng, rho, rng.randint(1, 6))
-    vs = [random_vector(rng, model, 30) for _ in range(k)]
+    shift = 10 ** 30 if huge else 0
+    vs = [V.from_coords(x + shift * rng.choice((-1, 1))
+                        for x in random_vector(rng, model, 30).coords)
+          for _ in range(min(k, model.rank))]
     for a in vs:
         for b in vs:
             assert ns_product(model, a.c, b.c) == \
@@ -321,6 +327,17 @@ def test_pairing_symmetry_and_bilinearity():
             assert mukai_pairing(model, combo, u) == (
                 a * mukai_pairing(model, v, u) + b * mukai_pairing(model, w, u)
             )
+
+
+def test_add_vectors_rejects_mismatched_ns_lengths():
+    # a zip over the coordinates dropped the surplus entry:
+    # (1, (2, 3), 4) + (1, (5,), 1) gave MukaiVector(r=2, c=(7,), m=4)
+    long, short = V(1, (2, 3), 4), V(1, (5,), 1)
+    with pytest.raises(LatticeInputError, match="NS lengths 2 and 1"):
+        add_vectors(long, short)
+    with pytest.raises(LatticeInputError, match="NS lengths 1 and 2"):
+        add_vectors(short, long)
+    assert add_vectors(long, V(1, (5, 6), 1)) == V(2, (7, 9), 5)
 
 
 def test_doubled_square_is_nonsquare():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -99,10 +100,10 @@ def _index_loop_square(gram, coeffs):
                for i in range(n) for j in range(n))
 
 
-@pytest.mark.parametrize("rank", range(1, 8))
+@pytest.mark.parametrize("rank", range(1, 12))
 def test_lazy_shells_match_sorted_oracle(rank):
     gram = _random_symmetric(random.Random(rank), rank)
-    for bound in range(1, 4 if rank <= 5 else 3):
+    for bound in range(1, 4 if rank <= 5 else 3 if rank <= 7 else 2):
         assert [c for c, _ in _positive_classes(gram, bound)] == \
             [c for c in oracle_coefficient_shells(rank, bound)
              if _index_loop_square(gram, c) > 0]
@@ -112,16 +113,33 @@ _rank_and_bound = st.integers(1, 7).flatmap(lambda rank: st.tuples(
     st.just(rank), st.integers(1, 3 if rank <= 5 else 2)))
 
 
-@settings(max_examples=30, deadline=None)
-@given(rank_bound=_rank_and_bound, seed=st.integers(0, 2**32 - 1))
-@example(rank_bound=(7, 2), seed=0)
-@example(rank_bound=(5, 3), seed=1)
-def test_shell_squares_match_quadratic_form(rank_bound, seed):
+def test_last_entry_is_set_after_a_skipped_candidate():
+    # q = 2 x^2 + 2 x y: after x = 1 the walk skips y = -1 (q = 0) and
+    # yields y = 1; the tuple must carry 1, not the -1 it tried or the -1
+    # left by the leaf (-1, -1) before it
+    gram = ((2, 1), (1, 0))
+    assert list(_positive_classes(gram, 1)) == \
+        [((-1, 0), 2), ((1, 0), 2), ((-1, -1), 4), ((1, 1), 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_bound=_rank_and_bound, seed=st.integers(0, 2**32 - 1),
+       sign=st.sampled_from((-1, 0, 1)))
+@example(rank_bound=(7, 2), seed=0, sign=-1)
+@example(rank_bound=(5, 3), seed=1, sign=1)
+@example(rank_bound=(1, 3), seed=0, sign=0)
+def test_shell_squares_match_quadratic_form(rank_bound, seed, sign):
+    # the last entry is tried in closed form: whatever the sign of its
+    # diagonal entry, pairs and order must be the sorted shells'
     rank, bound = rank_bound
-    gram = _random_symmetric(random.Random(seed), rank)
-    for coeffs, q in _positive_classes(gram, bound):
-        assert q > 0
-        assert q == _index_loop_square(gram, coeffs)
+    rng = random.Random(seed)
+    g = [list(row) for row in _random_symmetric(rng, rank)]
+    g[-1][-1] = sign * rng.randint(1, 9)
+    gram = tuple(map(tuple, g))
+    expected = [(c, _index_loop_square(gram, c))
+                for c in oracle_coefficient_shells(rank, bound)]
+    assert list(_positive_classes(gram, bound)) == \
+        [(c, q) for c, q in expected if q > 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,6 +198,40 @@ def test_search_matches_per_candidate_q_oracle(rho, seed):
             find_positive_orthogonal(model, s, 1)
         return
     assert find_positive_orthogonal(model, s, 1) == expected
+
+
+def _assert_checked_twin(v):
+    twin = MukaiVector.from_coords(v.coords)
+    assert v == twin and hash(v) == hash(twin) and repr(v) == repr(twin)
+    assert type(v.c) is tuple
+    assert all(type(x) is int for x in v.coords)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+@example(rho=20, seed=20)
+@example(rho=3, seed=7)
+def test_built_vectors_equal_their_checked_twins(rho, seed):
+    # complement basis vectors and classes B c are built unchecked from ints
+    # the package made; each must be the value the checking constructor
+    # gives, with a tuple c and exact ints
+    rng = random.Random(seed)
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 6))
+    s = _moved_spherical(rng, model) if rho <= 6 else \
+        structure_sheaf_vector(model)
+    basis = orthogonal_complement_basis(model, [s])
+    built = list(basis)
+    classes = _positive_classes(pairing_matrix(model, basis), 1)
+    for coeffs, _ in itertools.islice(classes, 5):
+        built.append(orthosearch._combination(basis, coeffs))
+    try:
+        v = find_positive_orthogonal(model, s, 1)
+    except SearchExhaustedError:
+        pass
+    else:
+        built += [v, *orthogonal_complement_basis(model, [s, v])]
+    for w in built:
+        _assert_checked_twin(w)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
