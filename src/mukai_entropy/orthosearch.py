@@ -11,6 +11,8 @@ but finitely many N.
 
 from __future__ import annotations
 
+import operator
+
 from . import _linalg
 from ._linalg import to_int
 from ._record import Record
@@ -83,12 +85,11 @@ def _positive_classes(gram, bound: int):
     then +rest (0 when rest = 0): both are tried in closed form, with no
     call per leaf. The square is carried down the walk: setting entry i to x
     adds x (x g_ii + 2 sum_{j<i} c_j g_ij), with the sum taken once per node
-    over the nonzero prefix (and carried down as `tail` for the last index).
+    over the prefix (and carried down as `tail` for the last index).
     """
     rank = len(gram)
     last = rank - 1
     coeffs = [0] * rank
-    support = []
 
     def walk(i, r, rest, hit, q, tail):
         row = gram[i]
@@ -99,21 +100,16 @@ def _positive_classes(gram, bound: int):
                     coeffs[i] = x
                     yield tuple(coeffs), leaf
             return
-        cross = 2 * sum([coeffs[j] * row[j] for j in support])
+        cross = 2 * sum(map(operator.mul, coeffs[:i], row))
         room = r * (last - i)
         for x in range(-r, r + 1):
             left = rest - abs(x)
             now_hit = hit or abs(x) == r
             if 0 <= left <= room and (now_hit or left >= r):
                 coeffs[i] = x
-                if x:
-                    support.append(i)
-                    yield from walk(i + 1, r, left, now_hit,
-                                    q + x * (x * row[i] + cross),
-                                    tail + 2 * x * gram[last][i])
-                    support.pop()
-                else:
-                    yield from walk(i + 1, r, left, now_hit, q, tail)
+                yield from walk(i + 1, r, left, now_hit,
+                                q + x * (x * row[i] + cross),
+                                tail + 2 * x * gram[last][i])
 
     for r in range(1, bound + 1):
         for l1 in range(r, r * rank + 1):

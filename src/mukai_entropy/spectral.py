@@ -15,10 +15,11 @@ identities run backwards give its coefficients. One Sturm chain of it, from
 integer pseudo-remainders scaled by |lc| > 0 to primitive parts, gives its
 squarefree part s0 (the last entry is the gcd with the derivative) and counts
 the roots of s0 at every point where s0 != 0. Its top real root is bracketed
-by bisection at rational points: Sturm counts decide each step only until the
-bracket holds that root alone, and from then on the sign of the polynomial at
-the midpoint does. Floating estimates only seed the bracket; every adopted
-bound is re-proved by an exact root count. The seed is numpy's eigvals, and
+by bisection on integer numerators over one denominator: Sturm counts decide
+each step only until the bracket holds that root alone, and from then on the
+sign of the polynomial at the midpoint does. Floating estimates only seed the
+bracket; a non-finite estimate is never used, and every adopted bound is
+re-proved by an exact root count. The seed is numpy's eigvals, and
 numpy is imported inside spectral_radius when it takes that seed: importing
 the package or running any other function does not load numpy.
 """
@@ -213,13 +214,6 @@ def _pairwise_product_poly(q) -> list[int]:
     return _linalg.monic_from_power_sums([t // 2 for t in twice])
 
 
-def _common_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
-    """Numerators of x and y over their least common denominator q, and q."""
-    q = math.lcm(x.denominator, y.denominator)
-    return (x.numerator * (q // x.denominator),
-            y.numerator * (q // y.denominator), q)
-
-
 def spectral_radius(matrix, tolerance: float = 1e-9,
                     max_steps: int = 10 ** 6) -> CertifiedRadius:
     """Certified spectral radius of a square integer matrix.
@@ -248,10 +242,10 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     def count_above(u: int, w: int = 1) -> int:
         return _variations(chain, u, w) - v_top
 
-    tol = Fraction(tolerance)
     # log2(8 / tolerance), but 8 / tolerance overflows below about 4.5e-308
     bits = max(24, math.ceil(3 - math.log2(tolerance)))
-    lo2, hi2 = Fraction(0), Fraction(bound)
+    # the bracket [lo / q, hi / q] of the squared radius, in integers
+    lo, hi, q = 0, bound, 1
     above_lo = count_above(0)
     if above_lo < 1:
         raise CertificationError("no positive root located for the radius")
@@ -264,29 +258,28 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
         est = float(max(abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
     except (OverflowError, np.linalg.LinAlgError, ValueError):
         est = 0.0
-    if est > 0:
-        seed = Fraction(est)  # squared within a margin of 1/1000
-        lo_c = (seed * Fraction(999, 1000)) ** 2
-        hi_c = min(Fraction(bound), (seed * Fraction(1001, 1000)) ** 2)
+    if 0 < est < math.inf:
+        # (est * 999/1000)^2 and (est * 1001/1000)^2 over one denominator
+        a, b = est.as_integer_ratio()
+        q_c = (1000 * b) ** 2
+        lo_c, hi_c = (999 * a) ** 2, min(bound * q_c, (1001 * a) ** 2)
         if (
             lo_c < hi_c
-            and _sign_at(s0, *lo_c.as_integer_ratio()) != 0
-            and _sign_at(s0, *hi_c.as_integer_ratio()) != 0
-            and count_above(*hi_c.as_integer_ratio()) == 0
-            and (above_c := count_above(*lo_c.as_integer_ratio())) >= 1
+            and _sign_at(s0, lo_c, q_c) != 0
+            and _sign_at(s0, hi_c, q_c) != 0
+            and count_above(hi_c, q_c) == 0
+            and (above_c := count_above(lo_c, q_c)) >= 1
         ):
-            lo2, hi2, above_lo = lo_c, hi_c, above_c
+            lo, hi, q, above_lo = lo_c, hi_c, q_c, above_c
 
-    # Bisection on the numerators lo, hi over a common denominator q. Always
-    # count_above(hi / q) == 0 and s0(hi / q) != 0. Once exactly one root
-    # lies above lo / q and s0(lo / q) != 0, that root is simple and is the
-    # only sign change of s0 in the bracket, so the sign of s0 at a midpoint
-    # tells which half holds it. lo_sign is the sign at lo / q from then on,
-    # and 0 while Sturm counts still decide.
-    lo, hi, q = _common_denominator(lo2, hi2)
+    # Always count_above(hi / q) == 0 and s0(hi / q) != 0. Once exactly one
+    # root lies above lo / q and s0(lo / q) != 0, that root is simple and is
+    # the only sign change of s0 in the bracket, so the sign of s0 at a
+    # midpoint tells which half holds it. lo_sign is the sign at lo / q from
+    # then on, and 0 while Sturm counts still decide.
     lo_sign = _sign_at(s0, lo, q) if above_lo == 1 else 0
     scale = 1 << bits
-    width = math.floor(tol * scale)
+    width = math.floor(Fraction(tolerance) * scale)
     steps = 0
     while True:
         # floor(sqrt(lo / q) * scale) and one more than floor(sqrt(hi / q) *
@@ -316,31 +309,24 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
         mid = (lo + hi) // 2
         mid_sign = _sign_at(s0, mid, q)
         if mid_sign == 0:
-            # mid is exactly a pairwise product, hence a certified lower bound
-            root = Fraction(mid, q)
-            off = (Fraction(hi, q) - root) / 2
-            while _sign_at(s0, *(root + off).as_integer_ratio()) == 0:
-                off /= 2
-            probe = root + off
-            if count_above(*probe.as_integer_ratio()) == 0:
-                lo2, hi2 = root, probe
-            else:
-                lo2, hi2 = probe, Fraction(hi, q)
-            lo, hi, q = _common_denominator(lo2, hi2)
-            lo_sign = 0
-        elif lo_sign:
-            if mid_sign == lo_sign:
-                lo = mid
-            else:
-                hi = mid
+            # mid is exactly a pairwise product, hence a certified lower
+            # bound; the point halfway to hi, else a quarter of the way, and
+            # so on, takes the place of mid once s0 != 0 there
+            lo, ph, lo_sign = mid, hi, 0
+            while not mid_sign:
+                lo, hi, q, ph = 2 * lo, 2 * hi, 2 * q, 2 * ph
+                mid = ph = (lo + ph) // 2
+                mid_sign = _sign_at(s0, mid, q)
+        if lo_sign:
+            above = mid_sign == lo_sign
         else:
             above = count_above(mid, q)
-            if above >= 1:
-                lo = mid
-                if above == 1:
-                    lo_sign = mid_sign
-            else:
-                hi = mid
+            if above == 1:
+                lo_sign = mid_sign
+        if above:
+            lo = mid
+        else:
+            hi = mid
 
 
 # --- exact quadratic surds ---------------------------------------------------

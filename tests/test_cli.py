@@ -193,6 +193,12 @@ def test_spectral_radius_past_float_range_exits_two():
     code, out, err = run_cli("spectral-radius", "--matrix",
                              "[[1" + "0" * 400 + "]]")
     assert code == 2 and out == "" and "float range" in err
+    # the float estimate of this radius is inf
+    big = "1" + "0" * 308
+    code, out, err = run_cli("spectral-radius", "--matrix",
+                             f"[[{big}, {big}], [{big}, {big}]]")
+    assert code == 2 and out == "" and "float range" in err
+    assert "Traceback" not in err
 
 
 def test_entropy_curve_reference_rows():

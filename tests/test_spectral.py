@@ -684,6 +684,11 @@ def test_radius_past_float_range_is_an_input_error():
         spectral_radius([[10 ** 400]])
     with pytest.raises(LatticeInputError, match="float range"):
         spectral_radius([[0, 10 ** 400], [10 ** 400, 0]])
+    # every entry is a float, but the float estimate of the radius is inf,
+    # so the exact path runs unseeded and refuses the input
+    big = 10 ** 308
+    with pytest.raises(LatticeInputError, match="float range"):
+        spectral_radius([[big, big], [big, big]])
 
 
 # --- the radius hot path against the parent routines --------------------------
@@ -793,12 +798,20 @@ def test_random_matrix_radius_matches_parent_bisection(mat, seeded, tol):
     ([[4]], False),
     ([[1, 1], [0, 1]], True),
     ([[1, 1], [0, 1]], False),
+    # without the seed a midpoint hits a pairwise product: 6 of the 968
+    # diagonal matrices of size 1-3 with entries +-1..8 do
+    *[([[x if i == j else 0 for j in range(len(diag))]
+        for i, x in enumerate(diag)], seeded)
+      for diag in ((1, 2), (-2, -1), (1, 1, 2), (1, 2, 2), (-2, -2, -1),
+                   (-2, -1, -1))
+      for seeded in (True, False)],
 ])
 def test_radius_edge_cases_match_parent_bisection(mat, seeded):
-    new, oracle = _radius_and_oracle(mat, 1e-9, seeded)
-    assert new == oracle
-    if mat == [[2, 0, 0], [0, 2, 0], [0, 0, 1]] and not seeded:
-        assert new[0] == 2
+    for tol in (1e-3, 1e-9, 1e-12):
+        new, oracle = _radius_and_oracle(mat, tol, seeded)
+        assert new == oracle
+        if mat == [[2, 0, 0], [0, 2, 0], [0, 0, 1]] and not seeded:
+            assert new[0] == 2
 
 
 def test_isolated_bracket_needs_no_sturm_counts_per_step(monkeypatch):
