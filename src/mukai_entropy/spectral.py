@@ -4,24 +4,26 @@ Characteristic polynomials come from the power sums tr(A^k) by Newton's
 identities; the traces past A^ceil(n/2) are traces of products of two lower
 powers, so half the matrix products of Faddeev-LeVerrier are left out.
 
-The radius certificate never trusts floating point. The largest root modulus
-of an integer matrix equals the square root of the largest real root of the
-polynomial whose roots are all pairwise products of eigenvalues (a conjugate
-pair contributes its squared modulus, and no pairwise product can exceed the
-squared radius). That polynomial is built in integers: the power sums s_k of
-the distinct eigenvalues come from Newton's identities, (s_k^2 + s_2k) / 2 are
-the power sums of the products mu_a * mu_b with a <= b, and Newton's
-identities run backwards give its coefficients. One Sturm chain of it, from
-integer pseudo-remainders scaled by |lc| > 0 to primitive parts, gives its
-squarefree part s0 (the last entry is the gcd with the derivative) and counts
-the roots of s0 at every point where s0 != 0. Its top real root is bracketed
-by bisection on integer numerators over one denominator: Sturm counts decide
-each step only until the bracket holds that root alone, and from then on the
-sign of the polynomial at the midpoint does. Floating estimates only seed the
-bracket; a non-finite estimate is never used, and every adopted bound is
-re-proved by an exact root count. The seed is numpy's eigvals, and
-numpy is imported inside spectral_radius when it takes that seed: importing
-the package or running any other function does not load numpy.
+The radius certificate decides every sign exactly: in floating point only when
+a proven error bound excludes zero, and otherwise in exact integers
+(_sign_at). The largest root modulus of an integer matrix equals the square
+root of the largest real root of the polynomial whose roots are all pairwise
+products of eigenvalues (a conjugate pair contributes its squared modulus, and
+no pairwise product can exceed the squared radius). That polynomial is built
+in integers: the power sums s_k of the distinct eigenvalues come from Newton's
+identities, (s_k^2 + s_2k) / 2 are the power sums of the products mu_a * mu_b
+with a <= b, and Newton's identities run backwards give its coefficients. One
+Sturm chain of it, from integer pseudo-remainders scaled by |lc| > 0 to
+primitive parts, gives its squarefree part s0 (the last entry is the gcd with
+the derivative) and counts the roots of s0 at every point where s0 != 0. Its
+top real root is bracketed by bisection on integer numerators over one
+denominator: Sturm counts decide each step only until the bracket holds that
+root alone, and from then on the sign of the polynomial at the midpoint does.
+Floating estimates only seed the bracket; a non-finite estimate is never used,
+and every adopted bound is re-proved by an exact root count. The seed is
+numpy's eigvals, and numpy is imported inside spectral_radius when it takes
+that seed: importing the package or running any other function does not load
+numpy.
 """
 
 from __future__ import annotations
@@ -150,13 +152,60 @@ def _squarefree_part(chain) -> list[int]:
 
 
 def _sign_at(poly, u: int, w: int = 1) -> int:
-    """Sign of an integer polynomial at the rational point u / w, w > 0,
-    integer-only.
+    """Sign of an integer polynomial p of degree n at the rational point
+    u / w, w > 0: from binary64 when a proven error bound excludes zero,
+    otherwise from exact integers.
 
-    Computes sum poly[k] * u^k * w^(n-k), which is p(u/w) scaled by the
+    The filter evaluates p^ = fl(p)(x^) by Horner's rule at x^ = fl(u / w)
+    with the coefficients c^_k = fl(c_k), and beside it m^, the same rule on
+    |c^_k| at |x^|. CPython rounds int / int and float(int) correctly, so
+    with e = 2^-53, gamma_j = j e / (1 - j e) and no underflow or overflow:
+    Horner's rule is exact for coefficients perturbed by at most gamma_2n
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1),
+    so |p^ - sum c^_k x^^k| <= gamma_2n M with M = sum |c^_k| |x^|^k; each
+    term of sum c^_k x^^k - p(u / w) is c_k x^k ((1 + d)(1 + d')^k - 1) with
+    |d|, |d'| <= e, so that difference is at most gamma_(n+1) sum |c_k|
+    |x|^k <= gamma_(n+1) M / (1 - e)^(n+1); and m^ sums non-negative terms,
+    so M <= m^ / (1 - gamma_2n). Hence |p^ - p(u / w)| is below
+    (3n + 1) e m^ (1 + 2^-9) for any n < 2^40, while the computed threshold
+    (4n + 8) 2^-52 m^ (one rounding) is at least (8n + 16) e m^ (1 - e),
+    over twice that. So |p^| above the threshold gives the sign of p(u / w).
+
+    Underflow: a nonzero running value of p^ just after a nonzero c^_k is
+    at least 2^-53 in size (a float of size 1/2 or more plus an integer is a
+    multiple of 2^-53; a smaller float plus a nonzero integer is more than
+    1/2 from zero), a running m^ just after a nonzero c^_k is at least 1,
+    and later products multiply these by x^ at most n times. With
+    x^ = 0 from u = 0 each product is an exact 0; with |x^| >= 1 nothing
+    shrinks; with |x^| >= 2^(k - 1) (k the frexp exponent of x^) and
+    n (1 - k) <= 960 each product stays above 2^-1013 (1 - e)^n > 2^-1022.
+    In these cases no product and not the threshold underflows, and a sum
+    that lands below 2^-1022 is exact, so the bound above holds. The other
+    cases (x^ = 0 from u != 0, a subnormal x^, or a power of x^ that may
+    underflow) take the exact route. Overflow: int / int and float(int)
+    raise OverflowError; a product or sum that overflows gives inf or nan,
+    and since rounding is monotone and odd each running |p^| is at most the
+    matching running m^, so m^ is then inf or nan (x^ != 0 there) and the
+    comparison with the threshold fails. These cases, a value inside the
+    bound (every exact zero among them) and the zero polynomial take the
+    exact route: sum c_k u^k w^(n-k), which is p(u / w) scaled by the
     positive factor w^n.
     """
     n = len(poly) - 1
+    try:
+        x = u / w
+        ax = abs(x)
+        p = m = 0.0
+        for c in map(float, reversed(poly)):
+            p = p * x + c
+            m = m * ax + abs(c)
+    except OverflowError:
+        pass
+    else:
+        if abs(p) > (4 * n + 8) * 2.0 ** -52 * m and (
+                ax >= 1.0 or not u
+                or (x and n * (1 - math.frexp(x)[1]) <= 960)):
+            return (p > 0) - (p < 0)
     acc = 0
     wp = 1
     for k in range(n, -1, -1):
@@ -235,9 +284,12 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     chain = _sturm_chain(
         _pairwise_product_poly(_squarefree_part(_sturm_chain(coeffs))))
     s0 = _squarefree_part(chain)
-    # every count below is at a point where s0 != 0, so chain counts s0's roots
+    # every count below is at a point where s0 != 0, so chain counts s0's
+    # roots; no root lies at or above bound, so by Sturm's theorem the count
+    # there is V(+inf), the sign changes of the leading coefficients
     bound = 2 + max(abs(c) for c in s0)
-    v_top = _variations(chain, bound)
+    v_top = sum(1 for a, b in zip(chain, chain[1:])
+                if (a[-1] > 0) != (b[-1] > 0))
 
     def count_above(u: int, w: int = 1) -> int:
         return _variations(chain, u, w) - v_top

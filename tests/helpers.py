@@ -788,7 +788,7 @@ def oracle_spectral_radius(matrix, tolerance: float = 1e-9,
         est = float(max(abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
     except (OverflowError, np.linalg.LinAlgError, ValueError):
         est = 0.0
-    if est > 0:
+    if 0 < est < math.inf:
         margin = Fraction(1, 1000)
         cand_lo = Fraction(est) * (1 - margin)
         cand_hi = Fraction(est) * (1 + margin)

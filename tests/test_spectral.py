@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    _oracle_sign_at,
     cofactor_char_poly,
     fraction_det,
     oracle_char_poly,
@@ -689,6 +690,10 @@ def test_radius_past_float_range_is_an_input_error():
     big = 10 ** 308
     with pytest.raises(LatticeInputError, match="float range"):
         spectral_radius([[big, big], [big, big]])
+    # the oracle skips the infinite estimate too and stops where the package
+    # refuses the input: at the float value of the bracket's midpoint
+    with pytest.raises(OverflowError):
+        oracle_spectral_radius([[big, big], [big, big]])
 
 
 # --- the radius hot path against the parent routines --------------------------
@@ -737,6 +742,44 @@ def test_mat_mul_and_mat_vec_match_index_loops(n, k, m, seed):
     v = [rng.randint(-big, big) for _ in range(k)]
     assert _linalg.mat_mul(a, b) == oracle_mat_mul(a, b)
     assert _linalg.mat_vec(a, v) == oracle_mat_vec(a, v)
+
+
+@st.composite
+def _sign_points(draw):
+    """(poly, u, w) for the float filter of _sign_at: degree 0-25 and
+    coefficients of 1-1100 bits; the point is anywhere from 2^-1100 to
+    2^1100 in size, 0, an exact rational root planted in the polynomial, or
+    (u 2^k +- 1) / (w 2^k) just off such a root; or the zero polynomial."""
+    kind = draw(st.sampled_from(("any", "zero", "root", "near", "zero_poly")))
+    bits = draw(st.integers(1, 1100))
+    deg = draw(st.integers(0, 24 if kind in ("root", "near") else 25))
+    poly = draw(st.lists(st.integers(-(1 << bits), 1 << bits),
+                         min_size=deg + 1, max_size=deg + 1))
+    if kind in ("root", "near"):
+        u = draw(st.integers(-(1 << 300), 1 << 300))
+        w = draw(st.integers(1, 1 << 300))
+        # poly * (w x - u) vanishes at u / w
+        poly = [w * a - u * b for a, b in zip([0] + poly, poly + [0])]
+        if kind == "near":
+            k = draw(st.integers(0, 300))
+            u, w = (u << k) + draw(st.sampled_from((-1, 1))), w << k
+    elif kind == "zero":
+        u, w = 0, draw(st.integers(1, 1 << 1100))
+    else:
+        u = draw(st.integers(-(1 << 60), 1 << 60))
+        w = draw(st.integers(1, 1 << 60))
+        e = draw(st.integers(-1100, 1100))
+        u, w = (u << e, w) if e >= 0 else (u, w << -e)
+        if kind == "zero_poly":
+            poly = [0] * (deg + 1)
+    return poly, u, w
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sign_points())
+def test_sign_filter_matches_exact_sign(case):
+    poly, u, w = case
+    assert spectral._sign_at(poly, u, w) == _oracle_sign_at(poly, Fraction(u, w))
 
 
 def _no_eigvals(*args, **kwargs):
@@ -805,6 +848,12 @@ def test_random_matrix_radius_matches_parent_bisection(mat, seeded, tol):
       for diag in ((1, 2), (-2, -1), (1, 1, 2), (1, 2, 2), (-2, -2, -1),
                    (-2, -1, -1))
       for seeded in (True, False)],
+    # finite estimates, but the coefficients of s0 and the bisection points
+    # run past the float range, so their signs take the exact route
+    *[(mat, seeded)
+      for mat in ([[10 ** 150, 1], [0, 3]],
+                  [[10 ** 150, 10 ** 150], [-10 ** 150, 2 * 10 ** 150 + 7]])
+      for seeded in (True, False)],
 ])
 def test_radius_edge_cases_match_parent_bisection(mat, seeded):
     for tol in (1e-3, 1e-9, 1e-12):
@@ -816,7 +865,9 @@ def test_radius_edge_cases_match_parent_bisection(mat, seeded):
 
 def test_isolated_bracket_needs_no_sturm_counts_per_step(monkeypatch):
     # once the adopted bracket isolates the top root, a bisection step is
-    # one sign evaluation: the Sturm counts do not grow with the steps
+    # one sign evaluation: the Sturm counts do not grow with the steps. The
+    # count at the first hi is read off the leading coefficients, so a
+    # certificate makes three: at 0 and at the two ends of the seed
     calls = []
     real = spectral._variations
 
@@ -832,7 +883,7 @@ def test_isolated_bracket_needs_no_sturm_counts_per_step(monkeypatch):
             calls.clear()
             spectral_radius(mat, tol)
             counts.append(len(calls))
-        assert counts[0] == counts[1]
+        assert counts == [3, 3]
 
 
 def test_radius_certificate_builds_two_sturm_chains(monkeypatch):
