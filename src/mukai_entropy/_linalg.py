@@ -113,8 +113,8 @@ def column_reduce(rows, n: int):
     span the integer kernel of R, which is automatically saturated.
     """
     k = len(rows)
-    acols = [[int(rows[r][j]) for r in range(k)] for j in range(n)]
-    vcols = [[1 if t == j else 0 for t in range(n)] for j in range(n)]
+    acols = [[int(row[j]) for row in rows] for j in range(n)]
+    vcols = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]
     active = list(range(n))
     pivots = []
     for r in range(k):
@@ -124,17 +124,13 @@ def column_reduce(rows, n: int):
             continue
         j0 = nz[0]
         for j in nz[1:]:
-            p, q = acols[j0][r], acols[j][r]
-            g, x, y = xgcd(p, q)
-            pg, qg = p // g, q // g
-            acols[j0], acols[j] = (
-                [x * acols[j0][t] + y * acols[j][t] for t in range(k)],
-                [-qg * acols[j0][t] + pg * acols[j][t] for t in range(k)],
-            )
-            vcols[j0], vcols[j] = (
-                [x * vcols[j0][t] + y * vcols[j][t] for t in range(n)],
-                [-qg * vcols[j0][t] + pg * vcols[j][t] for t in range(n)],
-            )
+            a0, aj, v0, vj = acols[j0], acols[j], vcols[j0], vcols[j]
+            g, x, y = xgcd(a0[r], aj[r])
+            pg, qg = a0[r] // g, aj[r] // g
+            acols[j0] = [s * x + t * y for s, t in zip(a0, aj)]
+            acols[j] = [t * pg - s * qg for s, t in zip(a0, aj)]
+            vcols[j0] = [s * x + t * y for s, t in zip(v0, vj)]
+            vcols[j] = [t * pg - s * qg for s, t in zip(v0, vj)]
         active.remove(j0)
         pivots.append(j0)
     return acols, vcols, pivots

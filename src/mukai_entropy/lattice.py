@@ -2,14 +2,17 @@
 
 A vector has integer coordinates (r, c_1..c_rho, m) in H^0 + NS + H^4 and the
 pairing is <v, w> = c_v . c_w - r_v * m_w - r_w * m_v, with the NS product
-taken through the model's Gram matrix. Pairings go through _linalg.mat_vec:
-c_v . G c_w is one dot product with G c_w, and pairing_matrix forms G c once
-per vector and each entry of its upper triangle once. Column-vector
-convention throughout: matrices act on coordinate columns ordered (r, c, m).
+taken through the model's Gram matrix. A single pairing goes through
+_linalg.mat_vec: c_v . G c_w is one dot product with G c_w. pairing_matrix
+sums c_v,k c_w,l G_kl over the nonzero NS entries of both vectors alone, once
+per entry of its upper triangle. Column-vector convention throughout:
+matrices act on coordinate columns ordered (r, c, m).
 
 All values are immutable, all functions pure; nothing here ever rounds, so
 results can be compared with ==. Complement basis vectors, whose ints the
-package builds itself, skip the constructor's checks (_vector_of).
+package builds itself, skip the constructor's checks (_vector_of), and so do
+the primitive and sign-normalized forms of a vector, whose ints were checked
+when it was made.
 """
 
 from __future__ import annotations
@@ -180,17 +183,21 @@ def signature_of(gram) -> Signature:
 
 
 def pairing_matrix(model: K3LatticeModel, vectors) -> tuple[tuple[int, ...], ...]:
-    """Mukai Gram matrix of the vectors: c_i . (G c_j) - r_i m_j - r_j m_i,
-    G c formed once per vector, the upper triangle computed and mirrored."""
+    """Mukai Gram matrix of the vectors: c_i . G c_j - r_i m_j - r_j m_i, the
+    NS product summed over the nonzero entries of c_i and c_j alone (complement
+    basis vectors are mostly unit vectors), the upper triangle computed
+    and mirrored."""
+    g = model.ns_gram
     rows = []
     for v in vectors:
         _check_vector(model, v)
-        rows.append((v.r, v.c, v.m, _linalg.mat_vec(model.ns_gram, v.c)))
+        rows.append((v.r, [(k, x) for k, x in enumerate(v.c) if x], v.m))
     gram = [[0] * len(rows) for _ in rows]
-    for i, (r, c, m, _) in enumerate(rows):
-        for j, (rj, _, mj, gc) in enumerate(rows[i:], i):
-            gram[i][j] = gram[j][i] = (sum(map(operator.mul, c, gc))
-                                       - r * mj - rj * m)
+    for i, (r, nz, m) in enumerate(rows):
+        for j, (rj, nzj, mj) in enumerate(rows[i:], i):
+            gram[i][j] = gram[j][i] = (
+                sum([x * y * g[k][l] for k, x in nz for l, y in nzj])
+                - r * mj - rj * m)
     return tuple(map(tuple, gram))
 
 
@@ -228,10 +235,7 @@ def doubled_square_is_nonsquare(model: K3LatticeModel, v: MukaiVector) -> bool:
 
 
 def vector_content(v: MukaiVector) -> int:
-    g = 0
-    for x in v.coords:
-        g = math.gcd(g, abs(x))
-    return g
+    return math.gcd(*v.coords)
 
 
 def primitive_vector(v: MukaiVector) -> MukaiVector:
@@ -239,7 +243,7 @@ def primitive_vector(v: MukaiVector) -> MukaiVector:
     g = vector_content(v)
     if g <= 1:
         return v
-    return MukaiVector.from_coords(tuple(x // g for x in v.coords))
+    return _vector_of([x // g for x in v.coords])
 
 
 def sign_normalized(v: MukaiVector) -> MukaiVector:
@@ -247,7 +251,7 @@ def sign_normalized(v: MukaiVector) -> MukaiVector:
     for x in v.coords:
         if x != 0:
             if x < 0:
-                return MukaiVector.from_coords(tuple(-y for y in v.coords))
+                return _vector_of([-y for y in v.coords])
             return v
     return v
 

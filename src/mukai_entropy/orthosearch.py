@@ -78,40 +78,51 @@ def _positive_classes(gram, bound: int):
     G has size at least 1.
 
     Within a shell the order is by L1 norm, then lexicographic. Each L1 level
-    is walked depth first with values ascending, so tuples come out lazily in
-    that order; a branch is entered only when its remaining L1 budget can
-    still be spent with entries in [-r, r] and reach |entry| = r somewhere,
-    so every branch ends in a tuple, and the last entry can only be -rest,
-    then +rest (0 when rest = 0): both are tried in closed form, with no
-    call per leaf. The square is carried down the walk: setting entry i to x
-    adds x (x g_ii + 2 sum_{j<i} c_j g_ij), with the sum taken once per node
-    over the prefix (and carried down as `tail` for the last index).
+    is walked depth first with values ascending, one generator per node of
+    the first rank - 1 entries, so tuples come out lazily in that order; a
+    branch is entered only when its remaining L1 budget can still be spent
+    with entries in [-r, r] and reach |entry| = r somewhere, so every branch
+    ends in a tuple, and the last entry can only be -rest, then +rest (0 when
+    rest = 0): the node of the entry before it tries both in closed form, so
+    a leaf costs no call and no generator. The square is carried down the
+    walk: setting entry i to x adds x (x g_ii + 2 sum_{j<i} c_j g_ij), with
+    the sum taken once per node over the prefix (and carried down as `tail`
+    for the last index), and the values x with |x| read from one list per
+    shell. At rank 1 the one entry is -r, then +r.
     """
     rank = len(gram)
     last = rank - 1
+    g_last = gram[last][last]
     coeffs = [0] * rank
 
     def walk(i, r, rest, hit, q, tail):
         row = gram[i]
-        if i == last:
-            for x in (-rest, rest) if rest else (0,):
-                leaf = q + x * (x * row[i] + tail)
-                if leaf > 0:
-                    coeffs[i] = x
-                    yield tuple(coeffs), leaf
-            return
+        g_ii, g_il = row[i], 2 * gram[last][i]
         cross = 2 * sum(map(operator.mul, coeffs[:i], row))
         room = r * (last - i)
-        for x in range(-r, r + 1):
-            left = rest - abs(x)
-            now_hit = hit or abs(x) == r
+        inner = i + 1 < last
+        for x, ax in steps:
+            left = rest - ax
+            now_hit = hit or ax == r
             if 0 <= left <= room and (now_hit or left >= r):
                 coeffs[i] = x
-                yield from walk(i + 1, r, left, now_hit,
-                                q + x * (x * row[i] + cross),
-                                tail + 2 * x * gram[last][i])
+                qx = q + x * (x * g_ii + cross)
+                tx = tail + x * g_il
+                if inner:
+                    yield from walk(i + 1, r, left, now_hit, qx, tx)
+                    continue
+                for y in (-left, left) if left else (0,):
+                    leaf = qx + y * (y * g_last + tx)
+                    if leaf > 0:
+                        coeffs[last] = y
+                        yield tuple(coeffs), leaf
 
     for r in range(1, bound + 1):
+        if not last:
+            q = r * r * g_last
+            yield from [((x,), q) for x in (-r, r) if q > 0]
+            continue
+        steps = [(x, abs(x)) for x in range(-r, r + 1)]
         for l1 in range(r, r * rank + 1):
             yield from walk(0, r, l1, False, 0, 0)
 

@@ -237,6 +237,38 @@ def oracle_invert_unimodular(m) -> tuple[tuple[int, ...], ...]:
     return tuple(inv)
 
 
+def oracle_column_reduce(rows, n: int):
+    """_linalg.column_reduce written with index loops over the k rows and n
+    columns of each column step: the complement bases and the search order
+    built on column_reduce are pinned to its output."""
+    k = len(rows)
+    acols = [[int(rows[r][j]) for r in range(k)] for j in range(n)]
+    vcols = [[1 if t == j else 0 for t in range(n)] for j in range(n)]
+    active = list(range(n))
+    pivots = []
+    for r in range(k):
+        nz = [j for j in active if acols[j][r] != 0]
+        if not nz:
+            pivots.append(None)
+            continue
+        j0 = nz[0]
+        for j in nz[1:]:
+            p, q = acols[j0][r], acols[j][r]
+            g, x, y = _linalg.xgcd(p, q)
+            pg, qg = p // g, q // g
+            acols[j0], acols[j] = (
+                [x * acols[j0][t] + y * acols[j][t] for t in range(k)],
+                [-qg * acols[j0][t] + pg * acols[j][t] for t in range(k)],
+            )
+            vcols[j0], vcols[j] = (
+                [x * vcols[j0][t] + y * vcols[j][t] for t in range(n)],
+                [-qg * vcols[j0][t] + pg * vcols[j][t] for t in range(n)],
+            )
+        active.remove(j0)
+        pivots.append(j0)
+    return acols, vcols, pivots
+
+
 def oracle_restrict_to_sublattice(a, basis) -> tuple[tuple[int, ...], ...]:
     """Restriction by rank, gcd of maximal minors and rational solves.
 

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    basis_spherical_class,
+    oracle_char_poly,
+    oracle_column_reduce,
     oracle_inertia,
     oracle_ns_product,
     oracle_pairing,
@@ -17,6 +20,7 @@ from helpers import (
     tridiagonal_gram,
     unimodular_k3_model,
 )
+from mukai_entropy import _linalg
 from mukai_entropy.errors import LatticeInputError
 from mukai_entropy.lattice import (
     K3LatticeModel,
@@ -133,6 +137,36 @@ def test_pairings_match_double_loop_oracles(rho, seed, k, huge):
             assert ns_product(model, a.c, b.c) == \
                 oracle_ns_product(model, a.c, b.c)
     assert pairing_matrix(model, vs) == oracle_pairing_matrix(model, vs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rho=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(0, 22), huge=st.booleans())
+@example(rho=1, seed=0, k=3, huge=True)
+@example(rho=20, seed=7, k=22, huge=True)
+def test_pairing_matrix_matches_oracle_on_sparse_vectors(rho, seed, k, huge):
+    # pairing_matrix sums over the nonzero NS entries alone: vectors with 0,
+    # 1 or 2 of them (r, m and the entries near +-10^30 when huge), then the
+    # complement bases of O_X and of a spherical class, mostly unit vectors
+    rng = random.Random(seed)
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 6))
+    scale = 10 ** 30 if huge else 1
+
+    def entry():
+        return rng.choice((-1, 1)) * scale + rng.randint(-2, 2)
+
+    vs = []
+    for _ in range(k):
+        c = [0] * rho
+        for i in rng.sample(range(rho), min(rho, rng.randint(0, 2))):
+            c[i] = entry()
+        vs.append(V(entry() * rng.randint(0, 1), tuple(c),
+                    entry() * rng.randint(0, 1)))
+    assert pairing_matrix(model, vs) == oracle_pairing_matrix(model, vs)
+    for s in (structure_sheaf_vector(model), basis_spherical_class(rng, model)):
+        basis = orthogonal_complement_basis(model, [s])
+        assert pairing_matrix(model, basis) == \
+            oracle_pairing_matrix(model, basis)
 
 
 def test_pairing_matrix_checks_every_vector():
@@ -256,6 +290,35 @@ def test_full_mukai_signature_is_two_rho():
         rho = rng.randint(1, 4)
         model = random_k3_model(rng, rho)
         assert signature_of(model.mukai_gram).as_tuple() == (2, rho, 0)
+
+
+# entries up to 10^6 in size, with many zeros and units
+_reduce_entries = st.one_of(st.sampled_from((0, 0, 0, 1, -1)),
+                            st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(0, 3), n=st.integers(1, 22))
+def test_column_reduce_matches_index_loop_oracle(data, k, n):
+    rows = data.draw(st.lists(
+        st.lists(_reduce_entries, min_size=n, max_size=n),
+        min_size=k, max_size=k))
+    ecols, vcols, pivots = _linalg.column_reduce(rows, n)
+    # the same integers as the index loops, so complement bases and the
+    # search order built on them are unchanged byte for byte
+    assert (ecols, vcols, pivots) == oracle_column_reduce(rows, n)
+    # R V = E, entry by entry
+    for r in range(k):
+        for j in range(n):
+            assert sum(rows[r][t] * vcols[j][t] for t in range(n)) == \
+                ecols[j][r]
+    # V is unimodular: the constant term of its char poly is +-det V
+    v = [[vcols[j][t] for j in range(n)] for t in range(n)]
+    assert abs(oracle_char_poly(v)[0]) == 1
+    # E vanishes on the columns no row claimed
+    for j in range(n):
+        if j not in pivots:
+            assert not any(ecols[j])
 
 
 def test_orthogonal_complement_examples():
