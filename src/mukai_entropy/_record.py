@@ -12,10 +12,11 @@ class Record:
     module here uses `from __future__ import annotations`, so they are never
     evaluated). The base __init__ stores them, by position or by name, and
     raises TypeError on a missing, extra or doubly given one. A subclass that
-    checks its input writes its own __init__, which stores the checked fields
-    with one self.__dict__.update(...); _of(**fields) holds fields that are
-    already proved and runs no __init__. Over the fields the base supports
-    exactly:
+    checks its input writes its own __init__, run only on input from outside
+    the package, which stores the checked fields with one
+    self.__dict__.update(...); _of(**fields), which runs no __init__, builds
+    every value the package derives from parts it has proved. Over the fields
+    the base supports exactly:
 
     - ==: true for a value of the very same class with equal fields;
       NotImplemented for any other type, a subclass included;

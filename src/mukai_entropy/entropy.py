@@ -98,7 +98,7 @@ def twist_entropy_curve(spherical_dim: int,
         raise LatticeInputError("complement_nonempty must be True or False")
     zero = Fraction(0)
     right_proven = d == 1 or complement_nonempty
-    return EntropyCurve((
+    return EntropyCurve._of(pieces=(
         CurvePiece(None, zero, Fraction(1 - d), zero, True),
         CurvePiece(zero, None, zero, zero, right_proven),
     ))

@@ -17,6 +17,7 @@ from .lattice import (
     MukaiVector,
     _check_vector,
     _divisor,
+    _vector_of,
     is_spherical_class,
     square,
     structure_sheaf_vector,
@@ -57,7 +58,7 @@ class Isometry(Record):
 
     def apply(self, v: MukaiVector) -> MukaiVector:
         _check_vector(self.model, v)
-        return MukaiVector.from_coords(_linalg.mat_vec(self.matrix, v.coords))
+        return _vector_of(_linalg.mat_vec(self.matrix, v.coords))
 
 
 def _fmt_vec(v: MukaiVector) -> str:
@@ -85,6 +86,11 @@ def spherical_twist_action(model: K3LatticeModel, s: MukaiVector) -> Isometry:
         raise LatticeInputError(
             f"twist class must have square -2, got {square(model, s)}"
         )
+    return _reflection(model, s)
+
+
+def _reflection(model: K3LatticeModel, s: MukaiVector) -> Isometry:
+    """The reflection in s, a class of square -2 that the caller has proved."""
     n = model.rank
     s_coords = s.coords
     pair_row = _linalg.mat_vec(model.mukai_gram, s_coords)
@@ -188,21 +194,15 @@ def twist_tensor_action(model: K3LatticeModel) -> Isometry:
         )
     rho = model.picard_rank
     minus_h = (-1,) + (0,) * (rho - 1)
-    twist = spherical_twist_action(model, structure_sheaf_vector(model))
+    twist = _reflection(model, structure_sheaf_vector(model))
     tensor = tensor_line_bundle_action(model, minus_h)
     return compose(twist, tensor)
 
 
 def polarized_sublattice_basis(model: K3LatticeModel) -> list[MukaiVector]:
     """Basis (1,0,0), (0,H,0), (0,0,1) of the rank-3 polarized sublattice."""
-    rho = model.picard_rank
-    zeros = (0,) * rho
-    h = (1,) + (0,) * (rho - 1)
-    return [
-        MukaiVector(1, zeros, 0),
-        MukaiVector(0, h, 0),
-        MukaiVector(0, zeros, 1),
-    ]
+    rows = _linalg.identity(model.rank)
+    return [_vector_of(rows[i]) for i in (0, 1, -1)]
 
 
 def restrict_to_sublattice(a: Isometry, basis) -> tuple[tuple[int, ...], ...]:

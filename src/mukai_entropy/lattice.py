@@ -9,10 +9,10 @@ per entry of its upper triangle. Column-vector convention throughout:
 matrices act on coordinate columns ordered (r, c, m).
 
 All values are immutable, all functions pure; nothing here ever rounds, so
-results can be compared with ==. Complement basis vectors, whose ints the
-package builds itself, skip the constructor's checks (_vector_of), and so do
-the primitive and sign-normalized forms of a vector, whose ints were checked
-when it was made.
+results can be compared with ==. Vectors whose ints the package computes
+from checked ones (complement bases, sums, the structure sheaf vector, the
+primitive and sign-normalized forms) skip the constructor's checks
+(_vector_of), and so does rank_one_model.
 """
 
 from __future__ import annotations
@@ -112,12 +112,14 @@ def _build_mukai_gram(ns_gram):
 
 def rank_one_model(d: int) -> K3LatticeModel:
     """Rank-one model whose polarization has self-intersection 2d."""
-    return K3LatticeModel(1, ((2 * to_int(d, "d", 1),),))
+    gram = ((2 * to_int(d, "d", 1),),)
+    return K3LatticeModel._of(picard_rank=1, ns_gram=gram,
+                              mukai_gram=_build_mukai_gram(gram))
 
 
 def structure_sheaf_vector(model: K3LatticeModel) -> MukaiVector:
     """Mukai vector (1, 0, 1) of the structure sheaf."""
-    return MukaiVector(1, (0,) * model.picard_rank, 1)
+    return MukaiVector._of(r=1, c=(0,) * model.picard_rank, m=1)
 
 
 def _divisor(model: K3LatticeModel, divisor):
@@ -259,7 +261,7 @@ def sign_normalized(v: MukaiVector) -> MukaiVector:
 def add_vectors(a: MukaiVector, b: MukaiVector) -> MukaiVector:
     if len(a.c) != len(b.c):
         raise LatticeInputError(f"NS lengths {len(a.c)} and {len(b.c)} differ")
-    return MukaiVector.from_coords(map(operator.add, a.coords, b.coords))
+    return _vector_of(map(operator.add, a.coords, b.coords))
 
 
 def scale_vector(n: int, v: MukaiVector) -> MukaiVector:

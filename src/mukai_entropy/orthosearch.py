@@ -56,7 +56,7 @@ def rank2_form(model: K3LatticeModel, s: MukaiVector,
     if not is_spherical_class(model, s):
         raise LatticeInputError("first class must be spherical (square -2)")
     p = mukai_pairing(model, s, v)
-    return Rank2Form(((square(model, s), p), (p, square(model, v))))
+    return Rank2Form._of(gram=((-2, p), (p, square(model, v))))
 
 
 def rank2_isotropy_free(model: K3LatticeModel, s: MukaiVector,

@@ -280,7 +280,8 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     while coeffs[0] == 0:
         coeffs.pop(0)
     if len(coeffs) == 1:
-        return CertifiedRadius(0.0, Fraction(0), Fraction(0), tolerance)
+        return CertifiedRadius._of(value=0.0, lo=Fraction(0), hi=Fraction(0),
+                                   tolerance=tolerance)
     chain = _sturm_chain(
         _pairwise_product_poly(_squarefree_part(_sturm_chain(coeffs))))
     s0 = _squarefree_part(chain)
@@ -350,7 +351,10 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
                 ) from exc
             if not (lo_root <= Fraction(value) <= hi_root):
                 value = float(lo_root)
-            return CertifiedRadius(value, lo_root, hi_root, tolerance)
+            # lo < hi as r_lo < r_hi, and hi - lo <= tolerance as the loop
+            # exits only once r_hi - r_lo <= floor(tolerance * scale)
+            return CertifiedRadius._of(value=value, lo=lo_root, hi=hi_root,
+                                       tolerance=tolerance)
         steps += 1
         if steps > max_steps:
             raise CertificationError(
@@ -386,11 +390,12 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
 class QuadraticSurd(Record):
     """Exact real number a + b*sqrt(root) with rational a, b.
 
-    Canonical form: square factors are pulled out of the int root by one
-    trial-division pass (up to about root^(1/3) / 2 steps per construction),
-    and a rational value is stored with b == 0, root == 0. Supports exact
-    sign computation and comparison against rationals, which is what
-    certified inequalities need.
+    Canonical form: the constructor pulls square factors out of the int root
+    by one trial-division pass (up to about root^(1/3) / 2 steps), and a
+    rational value is stored with b == 0, root == 0. A sum or negation over
+    one squarefree root is canonical once b == 0 drops the root, so +, - and
+    the comparisons run no trial division. Exact signs and comparisons
+    against rationals are what certified inequalities need.
     """
 
     a: Fraction
@@ -448,13 +453,14 @@ class QuadraticSurd(Record):
             return o
         if self.b != 0 and o.b != 0 and self.root != o.root:
             raise LatticeInputError("cannot combine surds over different roots")
-        root = self.root if self.b != 0 else o.root
-        return QuadraticSurd(self.a + o.a, self.b + o.b, root)
+        b = self.b + o.b
+        return QuadraticSurd._of(a=self.a + o.a, b=b,
+                                 root=(self.root or o.root) if b else 0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticSurd(-self.a, -self.b, self.root)
+        return QuadraticSurd._of(a=-self.a, b=-self.b, root=self.root)
 
     def __sub__(self, other):
         o = self._coerce(other)

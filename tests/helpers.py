@@ -910,6 +910,24 @@ def oracle_surd_parts(a, b, root: int) -> tuple[Fraction, Fraction, int]:
     return a, b, root
 
 
+def oracle_surd_sign(a, b, root: int) -> int:
+    """Sign of a + b*sqrt(root) in integers: over a common denominator it is
+    A + B sqrt(root), and B sqrt(root) lies in [m, m + 1) for B >= 0 or in
+    (-m - 1, -m] for B < 0, with m = isqrt(B^2 root), the square of its size;
+    it equals +-m exactly when m^2 = B^2 root."""
+    a, b = Fraction(a), Fraction(b)
+    den = a.denominator * b.denominator
+    big_a, big_b = int(a * den), int(b * den)
+    m = math.isqrt(big_b * big_b * root)
+    if m * m == big_b * big_b * root:
+        total = big_a + (m if big_b >= 0 else -m)
+        return (total > 0) - (total < 0)
+    # B sqrt(root) is irrational: A + B sqrt(root) lies strictly between the
+    # integers low and low + 1
+    low = big_a + m if big_b > 0 else big_a - m - 1
+    return 1 if low >= 0 else -1
+
+
 def oracle_radius_parts(d: int) -> tuple[Fraction, Fraction, int]:
     """Canonical parts of the twist-tensor radius (d - 2 + sqrt(d^2 - 4d)) / 2,
     1 for d <= 4."""

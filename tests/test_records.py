@@ -3,7 +3,9 @@
 For each of the 14 types: the repr bytes of a sample, == and hash of two
 values built apart, != against another type holding the same values,
 keyword construction, TypeError on a bad argument list, copies and pickles,
-and AttributeError on assigning or deleting any attribute.
+and AttributeError on assigning or deleting any attribute. Values the
+package derives from parts it has proved run no checking constructor and
+equal, repr included, what one makes of their fields.
 """
 
 import copy
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from mukai_entropy import isometries, lattice, orthosearch
 from mukai_entropy._record import Record
 from mukai_entropy.errors import LatticeInputError
 from mukai_entropy.entropy import (
@@ -20,15 +23,31 @@ from mukai_entropy.entropy import (
     ExtRecursionTable,
     ExtTableRow,
     GapReport,
+    ext_recursion_table,
+    twist_entropy_curve,
 )
-from mukai_entropy.isometries import Isometry
-from mukai_entropy.lattice import K3LatticeModel, MukaiVector, Signature
-from mukai_entropy.orthosearch import Rank2Form, SignatureReport
+from mukai_entropy.isometries import (
+    Isometry,
+    polarized_sublattice_basis,
+    restrict_to_sublattice,
+    spherical_twist_action,
+    twist_tensor_action,
+)
+from mukai_entropy.lattice import (
+    K3LatticeModel,
+    MukaiVector,
+    Signature,
+    add_vectors,
+    rank_one_model,
+    structure_sheaf_vector,
+)
+from mukai_entropy.orthosearch import Rank2Form, SignatureReport, rank2_form
 from mukai_entropy.spectral import (
     CertifiedRadius,
     CharPoly,
     QuadraticSurd,
     radius_closed_form,
+    spectral_radius,
 )
 
 MODEL = {"picard_rank": 1, "ns_gram": ((4,),)}
@@ -141,6 +160,88 @@ def test_closed_form_radius_matches_the_checking_constructor():
         built = radius_closed_form(d)
         checked = QuadraticSurd(Fraction(d - 2, 2), Fraction(1, 2), d * d - 4 * d)
         assert built == checked and repr(built) == repr(checked), d
+
+
+# built from outside input, before any check is counted
+RANK_TWO = K3LatticeModel(2, ((2, 1), (1, -2)))
+O_X_TWO = MukaiVector(1, (0, 0), 1)
+H_TWO = MukaiVector(0, (1, 0), 0)
+
+# what the package derives from proved parts, and the checks each call runs
+DERIVED = [
+    ("spectral_radius",
+     lambda: [spectral_radius([[2, 1], [1, 1]]),
+              spectral_radius([[0, 1], [0, 0]])], []),
+    ("ext_recursion_table", lambda: ext_recursion_table(3, 1, 1, 4), []),
+    ("twist_entropy_curve",
+     lambda: [twist_entropy_curve(d, known) for d in (1, 2)
+              for known in (False, True)], []),
+    # only the check of the caller's s
+    ("rank2_form", lambda: rank2_form(RANK_TWO, O_X_TWO, H_TWO),
+     ["is_spherical_class"]),
+    ("restrict_to_sublattice",
+     lambda: [restrict_to_sublattice(twist_tensor_action(m),
+                                     polarized_sublattice_basis(m))
+              for m in (rank_one_model(3), RANK_TWO)], []),
+]
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Names of the checking constructors and of is_spherical_class, in the
+    order they run from here on."""
+    calls = []
+
+    def counted(name, check):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return check(*args, **kwargs)
+        return run
+
+    for cls, _, _ in CASES:
+        if cls.__name__ not in STORAGE_ONLY:
+            monkeypatch.setattr(cls, "__init__",
+                                counted(cls.__name__, cls.__init__))
+    spherical = counted("is_spherical_class", lattice.is_spherical_class)
+    # each module calls the name it imported
+    for module in (lattice, isometries, orthosearch):
+        monkeypatch.setattr(module, "is_spherical_class", spherical)
+    return calls
+
+
+@pytest.mark.parametrize("run, expected", [case[1:] for case in DERIVED],
+                         ids=[case[0] for case in DERIVED])
+def test_derived_values_run_no_check(checks, run, expected):
+    run()
+    assert checks == expected
+
+
+def test_derived_values_match_the_checking_constructors():
+    # each value built with _of or _vector_of equals, with the same repr,
+    # the value the checking constructor makes of its fields
+    for d in range(1, 201):
+        built, checked = rank_one_model(d), K3LatticeModel(1, ((2 * d,),))
+        assert built == checked and repr(built) == repr(checked), d
+        assert built.mukai_gram == checked.mukai_gram, d
+    values = [spectral_radius([[2, 1], [1, 1]]),
+              spectral_radius([[0, 1], [0, 0]], 0.5)]
+    values += [twist_entropy_curve(d, known) for d in (1, 2, 5)
+               for known in (False, True)]
+    for model in (rank_one_model(3), RANK_TWO):
+        o_x = structure_sheaf_vector(model)
+        basis = polarized_sublattice_basis(model)
+        phi = twist_tensor_action(model)
+        values += [o_x, *basis, *map(phi.apply, basis),
+                   add_vectors(o_x, basis[1]),
+                   rank2_form(model, o_x, basis[1]),
+                   spherical_twist_action(model, o_x)]
+    for d in (3, 5, 8, 10 ** 6 + 3):
+        r = radius_closed_form(d)
+        values += [-r, r + 1, r - r, 2 - r, r + r, Fraction(1, 3) - r]
+    for value in values:
+        cls = type(value)
+        checked = cls(*(getattr(value, f) for f in cls.__match_args__))
+        assert value == checked and repr(value) == repr(checked), value
 
 
 def test_of_runs_no_init():

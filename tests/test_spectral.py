@@ -17,6 +17,7 @@ from helpers import (
     oracle_square_part,
     oracle_squarefree_part,
     oracle_surd_parts,
+    oracle_surd_sign,
     oracle_sturm_chain,
     poly_apply_matrix,
     poly_mul,
@@ -298,6 +299,73 @@ def test_surd_parts_match_the_oracle_constructor(a, b, root):
     s = QuadraticSurd(a, b, root)
     assert (s.a, s.b, s.root) == oracle_surd_parts(a, b, root)
     assert all(type(x) is Fraction for x in (s.a, s.b))
+
+
+RATIONALS = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=20))
+
+
+@st.composite
+def _surd_operands(draw):
+    """A canonical surd over a root in 0..300 and a second operand, a surd
+    over the same root or an int or Fraction, in either order."""
+    surds = st.builds(QuadraticSurd, RATIONALS, RATIONALS,
+                      st.just(draw(st.integers(0, 300))))
+    x, y = draw(surds), draw(st.one_of(surds, RATIONALS))
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+def _surd_fields(x):
+    if isinstance(x, QuadraticSurd):
+        return x.a, x.b, x.root
+    return Fraction(x), Fraction(0), 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands=_surd_operands())
+def test_surd_arithmetic_and_order_match_field_wise_oracles(operands):
+    # + and - work field by field over the one root; each result must be
+    # the canonical form of that, and each comparison and sign() must agree
+    # with an exact integer sign
+    x, y = operands
+    (ax, bx, rx), (ay, by, ry) = _surd_fields(x), _surd_fields(y)
+    root = rx or ry
+    results = [(x + y, ax + ay, bx + by), (x - y, ax - ay, bx - by)]
+    for z in (x, y):
+        if isinstance(z, QuadraticSurd):
+            results.append((-z, -z.a, -z.b))
+    for value, a, b in results:
+        assert type(value) is QuadraticSurd
+        assert (value.a, value.b, value.root) == oracle_surd_parts(a, b, root)
+        assert all(type(f) is Fraction for f in (value.a, value.b))
+        assert value.sign() == oracle_surd_sign(a, b, root)
+    diff = oracle_surd_sign(ax - ay, bx - by, root)
+    assert (x < y, x <= y, x > y, x >= y) == (
+        diff < 0, diff <= 0, diff > 0, diff >= 0)
+
+
+def test_surd_arithmetic_on_a_large_root_runs_no_trial_division(monkeypatch):
+    # at d = 10^12 + 39 one trial-division pass over the root 1.1 * 10^23
+    # takes seconds; arithmetic and comparisons over a canonical root take
+    # none
+    d = 10 ** 12 + 39
+    r = radius_closed_form(d)
+    root = 111111111119333333333485
+    assert (r.a, r.b, r.root) == (Fraction(d - 2, 2), Fraction(3, 2), root)
+    assert 9 * root == d * d - 4 * d
+
+    def refuse(n):
+        raise AssertionError(f"_square_part({n}) on a canonical surd")
+
+    monkeypatch.setattr(spectral, "_square_part", refuse)
+    assert r < d + 2 and not r >= d + 2
+    assert (r - r).sign() == 0
+    for value, fields in (
+        (-r, (Fraction(2 - d, 2), Fraction(-3, 2), root)),
+        (r + 1, (Fraction(d, 2), Fraction(3, 2), root)),
+        (r - r, (Fraction(0), Fraction(0), 0)),
+        (2 - r, (Fraction(6 - d, 2), Fraction(-3, 2), root)),
+    ):
+        assert (value.a, value.b, value.root) == fields
 
 
 def test_surd_arithmetic_mixed_roots():
