@@ -24,10 +24,26 @@ and every adopted bound is re-proved by an exact root count. The seed is
 numpy's eigvals, and numpy is imported inside spectral_radius when it takes
 that seed: importing the package or running any other function does not load
 numpy.
+
+Under two integer guards on the seed [lo, hi] / q (squares of est * 999/1000
+and est * 1001/1000), lo^2 >= hi q, and hi - lo <= q or
+lo^3 >= (n(n+1)/2 + 1) hi^2 q with n = deg sq, the seed checks and the
+bisection run on the residual r of the squarefree char poly sq over its
+cyclotomic factors, in the same steps as on sq. Checks passed on r put the
+square of its radius in (lo / q, hi / q), and the first guard gives
+1 < sqrt(hi / q) <= lo / q: so r holds the radius rho, and rho < lo / q. A
+root of the full s0 that involves a root of unity has modulus at most rho, so
+above lo / q both s0 have the same roots, Sturm counts and signs (their
+quotient is positive there). The second guard keeps sq's cap hi <= bound q
+from binding: Cauchy gives bound > rho^2 + 1, and Landau
+M(s0) <= sqrt(deg s0 + 1) max|c|, with M(s0) >= rho^3 as rho^2 and lambda zeta
+(|lambda| = rho, zeta stripped) are roots. Otherwise (nothing stripped, r = 1,
+no seed, a failed guard or check) the route on sq runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -122,8 +138,8 @@ def _poly_rem(a, b) -> list[int]:
     return _poly_primitive(r)
 
 
-def _poly_exact_quo(a, b) -> list[int]:
-    """Quotient a / b of integer polynomials that b divides exactly."""
+def _poly_quo(a, b) -> list[int] | None:
+    """Quotient a / b of integer polynomials, or None if it is not in Z[x]."""
     lead = b[-1]
     k = len(b) - 1
     r = list(a)
@@ -131,21 +147,48 @@ def _poly_exact_quo(a, b) -> list[int]:
     for shift in range(len(a) - 1 - k, -1, -1):
         c, m = divmod(r[shift + k], lead)
         if m:
-            raise AssertionError("polynomial division was not exact")
+            return None
         quot[shift] = c
         if c:
             for i, y in enumerate(b):
                 r[shift + i] -= c * y
-    if any(r[:k]):
-        raise AssertionError("polynomial division was not exact")
-    return quot
+    return None if any(r[:k]) else quot
+
+
+@functools.cache
+def _cyclotomics(n: int) -> tuple[tuple[int, ...], ...]:
+    """Phi_m = (x^m - 1) / prod Phi_d (d | m, d < m) for phi(m) <= n, once per
+    n; m <= max(6, n^2) as phi(m) >= sqrt(m) for m > 6. A divisor d is missing
+    only if phi(d) > n, so phi(m) <= n iff m - sum deg Phi_d (d listed) is."""
+    table = {}
+    for m in range(1, max(6, n * n) + 1):
+        divs = [d for d in table if m % d == 0]
+        if m - sum(len(table[d]) - 1 for d in divs) <= n:
+            p = [-1] + [0] * (m - 1) + [1]
+            for d in divs:
+                p = _poly_quo(p, table[d])
+            table[m] = tuple(p)
+    return tuple(table.values())
+
+
+def _strip_cyclotomic(p) -> list[int]:
+    """Monic squarefree p over every Phi_m that divides it. By Kronecker's
+    theorem the residual is 1 or has a root of modulus above 1."""
+    for cyc in _cyclotomics(len(p) - 1):
+        if len(cyc) <= len(p) and (quot := _poly_quo(p, cyc)) is not None:
+            p = quot
+    return p
 
 
 def _squarefree_part(chain) -> list[int]:
     """Squarefree part of chain[0] from its Sturm chain, which ends in the gcd
     with the derivative; primitive, with a positive leading coefficient."""
     p, g = chain[0], chain[-1]
-    out = list(p) if len(g) == 1 else _poly_primitive(_poly_exact_quo(p, g))
+    out = list(p) if len(g) == 1 else _poly_quo(p, g)
+    if out is None:
+        raise AssertionError("polynomial division was not exact")
+    if len(g) > 1:
+        out = _poly_primitive(out)
     if out[-1] < 0:
         out = [-c for c in out]
     return out
@@ -263,6 +306,12 @@ def _pairwise_product_poly(q) -> list[int]:
     return _linalg.monic_from_power_sums([t // 2 for t in twice])
 
 
+def _residual_guards(lo: int, hi: int, q: int, n: int) -> bool:
+    """The module docstring's guards on the seed [lo, hi] / q, deg sq = n."""
+    return lo * lo >= hi * q and (
+        hi - lo <= q or lo ** 3 >= (n * (n + 1) // 2 + 1) * hi * hi * q)
+
+
 def spectral_radius(matrix, tolerance: float = 1e-9,
                     max_steps: int = 10 ** 6) -> CertifiedRadius:
     """Certified spectral radius of a square integer matrix.
@@ -282,26 +331,9 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     if len(coeffs) == 1:
         return CertifiedRadius._of(value=0.0, lo=Fraction(0), hi=Fraction(0),
                                    tolerance=tolerance)
-    chain = _sturm_chain(
-        _pairwise_product_poly(_squarefree_part(_sturm_chain(coeffs))))
-    s0 = _squarefree_part(chain)
-    # every count below is at a point where s0 != 0, so chain counts s0's
-    # roots; no root lies at or above bound, so by Sturm's theorem the count
-    # there is V(+inf), the sign changes of the leading coefficients
-    bound = 2 + max(abs(c) for c in s0)
-    v_top = sum(1 for a, b in zip(chain, chain[1:])
-                if (a[-1] > 0) != (b[-1] > 0))
-
-    def count_above(u: int, w: int = 1) -> int:
-        return _variations(chain, u, w) - v_top
-
+    sq = _squarefree_part(_sturm_chain(coeffs))
     # log2(8 / tolerance), but 8 / tolerance overflows below about 4.5e-308
     bits = max(24, math.ceil(3 - math.log2(tolerance)))
-    # the bracket [lo / q, hi / q] of the squared radius, in integers
-    lo, hi, q = 0, bound, 1
-    above_lo = count_above(0)
-    if above_lo < 1:
-        raise CertificationError("no positive root located for the radius")
 
     # Optional float seed; adopted only if the exact counts confirm it.
     # numpy is imported here, its one use, so that nothing else loads it.
@@ -311,19 +343,44 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
         est = float(max(abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
     except (OverflowError, np.linalg.LinAlgError, ValueError):
         est = 0.0
+    seed, polys = None, [sq]
     if 0 < est < math.inf:
-        # (est * 999/1000)^2 and (est * 1001/1000)^2 over one denominator
         a, b = est.as_integer_ratio()
-        q_c = (1000 * b) ** 2
-        lo_c, hi_c = (999 * a) ** 2, min(bound * q_c, (1001 * a) ** 2)
-        if (
-            lo_c < hi_c
-            and _sign_at(s0, lo_c, q_c) != 0
-            and _sign_at(s0, hi_c, q_c) != 0
-            and count_above(hi_c, q_c) == 0
-            and (above_c := count_above(lo_c, q_c)) >= 1
-        ):
-            lo, hi, q, above_lo = lo_c, hi_c, q_c, above_c
+        seed = (999 * a) ** 2, (1001 * a) ** 2, (1000 * b) ** 2
+        if _residual_guards(*seed, len(sq) - 1):
+            r = _strip_cyclotomic(sq)
+            if 1 < len(r) < len(sq):
+                polys.insert(0, r)
+
+    def count_above(u: int, w: int = 1) -> int:
+        return _variations(chain, u, w) - v_top
+
+    for p in polys:
+        chain = _sturm_chain(_pairwise_product_poly(p))
+        s0 = _squarefree_part(chain)
+        # chain counts s0's roots at points where s0 != 0; none is >= bound,
+        # so by Sturm's theorem the count there is V(+inf), the sign changes
+        # of the leading coefficients
+        bound = 2 + max(abs(c) for c in s0)
+        v_top = sum(1 for a, b in zip(chain, chain[1:])
+                    if (a[-1] > 0) != (b[-1] > 0))
+        if seed:
+            lo_c, hi_c, q_c = seed
+            hi_c = min(bound * q_c, hi_c) if p is sq else hi_c
+            if (
+                lo_c < hi_c
+                and _sign_at(s0, lo_c, q_c) != 0
+                and _sign_at(s0, hi_c, q_c) != 0
+                and count_above(hi_c, q_c) == 0
+                and (above_lo := count_above(lo_c, q_c)) >= 1
+            ):
+                # the bracket [lo / q, hi / q] of the squared radius
+                lo, hi, q = lo_c, hi_c, q_c
+                break
+    else:
+        lo, hi, q = 0, bound, 1
+        if (above_lo := count_above(0)) < 1:
+            raise CertificationError("no positive root located for the radius")
 
     # Always count_above(hi / q) == 0 and s0(hi / q) != 0. Once exactly one
     # root lies above lo / q and s0(lo / q) != 0, that root is simple and is
@@ -461,6 +518,9 @@ class QuadraticSurd(Record):
 
     def __neg__(self):
         return QuadraticSurd._of(a=-self.a, b=-self.b, root=self.root)
+
+    def __pos__(self):
+        return self
 
     def __sub__(self, other):
         o = self._coerce(other)

@@ -766,6 +766,20 @@ def test_radius_past_float_range_is_an_input_error():
 
 # --- the radius hot path against the parent routines --------------------------
 
+def _draw_shear(draw, mat, coeffs):
+    """mat conjugated by the unimodular shear I + c e_ij, with i, j and c
+    drawn (c from coeffs); unchanged when i == j."""
+    n = len(mat)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    c = draw(st.sampled_from(coeffs))
+    if i == j:
+        return mat
+    shear = [[int(r == s) for s in range(n)] for r in range(n)]
+    back = [list(row) for row in shear]
+    shear[i][j], back[i][j] = c, -c
+    return oracle_mat_mul(oracle_mat_mul(shear, mat), back)
+
+
 @st.composite
 def _char_poly_matrices(draw):
     """Square integer matrices of rank 1-22: plain, singular (a repeated
@@ -781,13 +795,7 @@ def _char_poly_matrices(draw):
         mat = [[x if j > i else 0 for j, x in enumerate(row)]
                for i, row in enumerate(mat)]
         if n > 1:
-            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-            c = draw(st.sampled_from((-1, 1)))
-            if i != j:
-                shear = [[int(r == s) for s in range(n)] for r in range(n)]
-                back = [list(row) for row in shear]
-                shear[i][j], back[i][j] = c, -c
-                mat = oracle_mat_mul(oracle_mat_mul(shear, mat), back)
+            mat = _draw_shear(draw, mat, (-1, 1))
     elif shape == "zero":
         mat = [[0] * n for _ in range(n)]
     return mat
@@ -922,6 +930,21 @@ def test_random_matrix_radius_matches_parent_bisection(mat, seeded, tol):
       for mat in ([[10 ** 150, 1], [0, 3]],
                   [[10 ** 150, 10 ** 150], [-10 ** 150, 2 * 10 ** 150 + 7]])
       for seeded in (True, False)],
+    # nothing to strip, and the cap bound * q of the seed binds; something
+    # stripped at a small and a large radius; only cyclotomic factors; and
+    # a repeated root 3 whose numpy estimate lies past the seed bracket, so
+    # the checks on the residual fail and the route on sq runs
+    *[(mat, seeded)
+      for mat in ([[40]], [[-40]], [[2, 0], [0, 40]], [[40, 0], [0, 1]],
+                  [[3, 0, 0], [0, 0, -1], [0, 1, 0]],
+                  [[0, 0, 0, -1, 0], [1, 0, 0, -1, 0], [0, 1, 0, -1, 0],
+                   [0, 0, 1, -1, 0], [0, 0, 0, 0, 10 ** 6]],
+                  [[1, 0, 0], [0, 0, -1], [0, 1, -1]],
+                  # companion of (x - 3)^5 (x + 1)
+                  [[0, 0, 0, 0, 0, 243], [1, 0, 0, 0, 0, -162],
+                   [0, 1, 0, 0, 0, -135], [0, 0, 1, 0, 0, 180],
+                   [0, 0, 0, 1, 0, -75], [0, 0, 0, 0, 1, 14]])
+      for seeded in (True, False)],
 ])
 def test_radius_edge_cases_match_parent_bisection(mat, seeded):
     for tol in (1e-3, 1e-9, 1e-12):
@@ -934,8 +957,9 @@ def test_radius_edge_cases_match_parent_bisection(mat, seeded):
 def test_isolated_bracket_needs_no_sturm_counts_per_step(monkeypatch):
     # once the adopted bracket isolates the top root, a bisection step is
     # one sign evaluation: the Sturm counts do not grow with the steps. The
-    # count at the first hi is read off the leading coefficients, so a
-    # certificate makes three: at 0 and at the two ends of the seed
+    # count at the first hi is read off the leading coefficients, and an
+    # adopted seed proves a root above 0, so a certificate makes two: at the
+    # two ends of the seed
     calls = []
     real = spectral._variations
 
@@ -951,12 +975,13 @@ def test_isolated_bracket_needs_no_sturm_counts_per_step(monkeypatch):
             calls.clear()
             spectral_radius(mat, tol)
             counts.append(len(calls))
-        assert counts == [3, 3]
+        assert counts == [2, 2]
 
 
 def test_radius_certificate_builds_two_sturm_chains(monkeypatch):
     # one for the stripped char poly, one for the pairwise-product
-    # polynomial, whose chain also gives s0 and every root count
+    # polynomial (of the residual, or of sq), whose chain also gives s0 and
+    # every root count
     calls = []
     real = spectral._sturm_chain
 
@@ -974,6 +999,10 @@ def test_radius_certificate_builds_two_sturm_chains(monkeypatch):
     calls.clear()
     spectral_radius([[0, 1], [0, 0]])  # stripped char poly is constant
     assert calls == []
+    # numpy's estimate of the repeated root 3 misses the seed bracket, so
+    # the residual's chain fails the seed checks and sq's chain follows
+    spectral_radius(_companion([-243, 162, 135, -180, 75, -14, 1]))
+    assert len(calls) == 3
 
 
 def test_char_poly_multiplies_half_the_powers(monkeypatch):
@@ -990,3 +1019,174 @@ def test_char_poly_multiplies_half_the_powers(monkeypatch):
         calls.clear()
         char_poly([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         assert len(calls) == math.ceil(n / 2) - 1
+
+
+# --- the cyclotomic strip and the residual route -----------------------------
+
+def _sympy_cyclotomic(m: int) -> list[int]:
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sympy.cyclotomic_poly(m, x), x)
+    return [int(c) for c in poly.all_coeffs()[::-1]]
+
+
+def _companion(p) -> list[list[int]]:
+    """Companion matrix of a monic ascending integer polynomial."""
+    n = len(p) - 1
+    return [[(int(i == j + 1) if j < n - 1 else -p[i]) for j in range(n)]
+            for i in range(n)]
+
+
+def _block_diag(blocks) -> list[list[int]]:
+    n = sum(len(b) for b in blocks)
+    out, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return out
+
+
+_SMALL_M = (1, 2, 3, 4, 5, 6, 8, 10, 12)  # phi(m) <= 4
+
+
+@st.composite
+def _cyclotomic_block_matrices(draw):
+    """Block matrices around cyclotomic factors: companions of Phi_m or a
+    cycle permutation alone; the same beside [[N]] with N small or large, or
+    beside a random 1-4 square block, or beside the companion of
+    (x - N)^k, whose repeated root throws numpy's estimate off the seed
+    bracket; or no cyclotomic block at all. Then conjugated by a unimodular
+    shear, so no block structure is left for numpy to read."""
+    kind = draw(st.sampled_from(
+        ("cyclotomic", "permutation", "mixed", "defective", "plain")))
+    blocks = []
+    if kind in ("cyclotomic", "mixed", "defective"):
+        for m in draw(st.lists(st.sampled_from(_SMALL_M), min_size=1,
+                               max_size=3 if kind == "cyclotomic" else 2)):
+            blocks.append(_companion(_sympy_cyclotomic(m)))
+    if kind == "permutation":
+        k = draw(st.integers(1, 7))
+        blocks.append([[int(j == (i + 1) % k) for j in range(k)]
+                       for i in range(k)])
+    big = st.sampled_from((-40, 2, 3, 40, 10 ** 3, 10 ** 6))
+    if kind in ("mixed", "plain"):
+        if draw(st.booleans()):
+            blocks.append([[draw(big | st.integers(-9, 9))]])
+        if not blocks or draw(st.booleans()):
+            k = draw(st.integers(1, 4))
+            blocks.append([[draw(st.integers(-4, 4)) for _ in range(k)]
+                           for _ in range(k)])
+    if kind == "defective":
+        root, k = draw(st.sampled_from((-2, 2, 3, 5))), draw(st.integers(2, 6))
+        p = [1]
+        for _ in range(k):
+            p = [0] + p
+            p = [a - root * b for a, b in zip(p, p[1:] + [0])]
+        blocks.append(_companion(p))
+    return _draw_shear(draw, _block_diag(blocks), (-1, 1, 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_cyclotomic_block_matrices(), st.booleans(), _TOLS)
+def test_cyclotomic_block_radius_matches_parent_bisection(mat, seeded, tol):
+    new, oracle = _radius_and_oracle(mat, tol, seeded)
+    assert new == oracle
+
+
+def _seed_of(est: float) -> tuple[int, int, int]:
+    a, b = est.as_integer_ratio()
+    return (999 * a) ** 2, (1001 * a) ** 2, (1000 * b) ** 2
+
+
+def test_residual_guards_at_their_edges():
+    guards = spectral._residual_guards
+    # lo^2 >= hi q holds from est = 1001 / 999^2 * 1000 (about 1.003) on
+    edge = 1001 * 1000 / 999 ** 2
+    assert not guards(*_seed_of(1.0015), 3)
+    assert not guards(*_seed_of(edge * (1 - 1e-12)), 3)
+    assert guards(*_seed_of(edge * (1 + 1e-12)), 3)
+    # hi - lo <= q holds up to est^2 = 250; past it the Landau branch needs
+    # est^2 >= about 256.6 at n = 22, so (250, 256) falls back there
+    assert guards(*_seed_of(math.sqrt(250 * (1 - 1e-12))), 22)
+    for est2 in (250 * (1 + 1e-12), 252.0, 255.99):
+        assert not guards(*_seed_of(math.sqrt(est2)), 22)
+        assert guards(*_seed_of(math.sqrt(est2)), 21)
+    assert guards(*_seed_of(math.sqrt(256.6)), 22)
+    # the integer edges themselves: equality holds in every branch
+    assert guards(110, 121, 100, 1) and not guards(110, 122, 100, 1)
+    assert guards(200, 300, 100, 1) and not guards(200, 301, 100, 1)
+    # lo^3 = 254 hi^2 q with n (n + 1) / 2 + 1 = 254 at n = 22
+    assert guards(1016, 2032, 1, 22) and not guards(1015, 2032, 1, 22)
+
+
+def test_residual_route_runs_on_the_residual(monkeypatch):
+    # family_matrix(5) has char poly (x + 1)(x^2 + 3x + 1): the pairwise
+    # polynomial is built for x^2 + 3x + 1 alone
+    calls = []
+    real = spectral._pairwise_product_poly
+    monkeypatch.setattr(spectral, "_pairwise_product_poly",
+                        lambda q: calls.append(list(q)) or real(q))
+    spectral_radius(family_matrix(5))
+    assert calls == [[1, 3, 1]]
+
+
+def test_failed_guard_takes_the_route_on_sq(monkeypatch):
+    stripped = []
+    monkeypatch.setattr(spectral, "_residual_guards", lambda *args: False)
+    monkeypatch.setattr(spectral, "_strip_cyclotomic",
+                        lambda p: stripped.append(p) or p)
+    for mat in (family_matrix(5), _pinned_cases()["word_12_twists_rank6"]):
+        new, oracle = _radius_and_oracle(mat, 1e-9, True)
+        assert new == oracle
+    assert stripped == []
+
+
+def test_cyclotomic_table_matches_sympy():
+    import sympy
+
+    for n in range(23):
+        # phi(m) >= sqrt(m / 2) for every m, so m <= 2 n^2 covers phi(m) <= n
+        want = [_sympy_cyclotomic(m) for m in range(1, 2 * n * n + 7)
+                if sympy.totient(m) <= n]
+        assert [list(p) for p in spectral._cyclotomics(n)] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15,
+                                 16, 18, 20, 24, 30)), max_size=4),
+       st.lists(st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+                max_size=3))
+def test_strip_matches_sympy_factor_list(ms, others):
+    # the residual of a squarefree product of Phi_m and other monic factors
+    # is the product of its non-cyclotomic irreducible factors (sympy)
+    import numpy as np
+    import sympy
+
+    x = sympy.Symbol("x")
+    prod = sympy.Integer(1)
+    for m in ms:
+        prod *= sympy.cyclotomic_poly(m, x)
+    for low in others:
+        if low[0] == 0:
+            low[0] = 1
+        prod *= sympy.Poly(([1] + low[::-1]), x).as_expr()
+    sq = sympy.Poly(prod, x).sqf_part().monic()
+    want = sympy.Poly(1, x)
+    for f, _ in sq.factor_list()[1]:
+        if not f.is_cyclotomic:
+            want *= f
+    want = [int(c) for c in want.all_coeffs()[::-1]]
+    if want[-1] < 0:
+        want = [-c for c in want]
+    r = spectral._strip_cyclotomic([int(c) for c in sq.all_coeffs()[::-1]])
+    assert r == want
+    if len(r) > 1:
+        # Kronecker: a monic integer polynomial with nonzero constant term
+        # and no cyclotomic factor has a root of modulus above 1
+        assert max(abs(np.roots(r[::-1]))) > 1 + 1e-6
+
+
+def test_surd_unary_plus():
+    assert +radius_closed_form(5) == radius_closed_form(5)
