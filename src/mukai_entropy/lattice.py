@@ -265,7 +265,8 @@ def add_vectors(a: MukaiVector, b: MukaiVector) -> MukaiVector:
 
 
 def scale_vector(n: int, v: MukaiVector) -> MukaiVector:
-    return MukaiVector.from_coords(tuple(n * x for x in v.coords))
+    n = to_int(n, "scale factor")
+    return _vector_of([n * x for x in v.coords])
 
 
 # --- JSON interchange -------------------------------------------------------

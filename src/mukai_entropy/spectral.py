@@ -25,20 +25,24 @@ numpy's eigvals, and numpy is imported inside spectral_radius when it takes
 that seed: importing the package or running any other function does not load
 numpy.
 
-Under two integer guards on the seed [lo, hi] / q (squares of est * 999/1000
-and est * 1001/1000), lo^2 >= hi q, and hi - lo <= q or
-lo^3 >= (n(n+1)/2 + 1) hi^2 q with n = deg sq, the seed checks and the
-bisection run on the residual r of the squarefree char poly sq over its
-cyclotomic factors, in the same steps as on sq. Checks passed on r put the
-square of its radius in (lo / q, hi / q), and the first guard gives
+The certificate runs on one polynomial p, chosen before any pairwise chain is
+built. With numpy's seed [lo, hi] / q (squares of est * 999/1000 and
+est * 1001/1000), p is the residual r of the squarefree char poly sq over its
+cyclotomic factors Phi_m when lo^2 >= hi q, and hi - lo <= q or
+lo^3 >= (n(n+1)/2 + 1) hi^2 q (n = deg sq), and r is neither 1 nor sq; else
+sq. With no seed, or one that fails its checks on p, sq runs unseeded. Either
+choice gives sq's bracket byte for byte. Checks passed on r put the square of
+its radius in (lo / q, hi / q), and the first guard gives
 1 < sqrt(hi / q) <= lo / q: so r holds the radius rho, and rho < lo / q. A
 root of the full s0 that involves a root of unity has modulus at most rho, so
 above lo / q both s0 have the same roots, Sturm counts and signs (their
 quotient is positive there). The second guard keeps sq's cap hi <= bound q
 from binding: Cauchy gives bound > rho^2 + 1, and Landau
 M(s0) <= sqrt(deg s0 + 1) max|c|, with M(s0) >= rho^3 as rho^2 and lambda zeta
-(|lambda| = rho, zeta stripped) are roots. Otherwise (nothing stripped, r = 1,
-no seed, a failed guard or check) the route on sq runs.
+(|lambda| = rho, zeta stripped) are roots. A seed that fails on r fails on sq:
+the real roots of s0_r are roots of s0_sq, both top out at rho^2 (r != 1 holds
+every root of modulus rho > 1), and a failed count or sign at hi puts rho^2 at
+or above hi / q, below bound.
 """
 
 from __future__ import annotations
@@ -306,6 +310,16 @@ def _pairwise_product_poly(q) -> list[int]:
     return _linalg.monic_from_power_sums([t // 2 for t in twice])
 
 
+def _certificate_chain(p):
+    """(chain, s0, V(+inf), bound) of p's pairwise-product polynomial: no root
+    of s0 is >= bound, so by Sturm's theorem chain counts V(+inf) there."""
+    chain = _sturm_chain(_pairwise_product_poly(p))
+    s0 = _squarefree_part(chain)
+    v_top = sum(1 for a, b in zip(chain, chain[1:])
+                if (a[-1] > 0) != (b[-1] > 0))
+    return chain, s0, v_top, 2 + max(abs(c) for c in s0)
+
+
 def _residual_guards(lo: int, hi: int, q: int, n: int) -> bool:
     """The module docstring's guards on the seed [lo, hi] / q, deg sq = n."""
     return lo * lo >= hi * q and (
@@ -343,46 +357,28 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
         est = float(max(abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
     except (OverflowError, np.linalg.LinAlgError, ValueError):
         est = 0.0
-    seed, polys = None, [sq]
-    if 0 < est < math.inf:
+    p = sq  # or the residual r, as the module docstring chooses
+    if seeded := 0 < est < math.inf:
         a, b = est.as_integer_ratio()
-        seed = (999 * a) ** 2, (1001 * a) ** 2, (1000 * b) ** 2
-        if _residual_guards(*seed, len(sq) - 1):
+        lo, hi, q = (999 * a) ** 2, (1001 * a) ** 2, (1000 * b) ** 2
+        if _residual_guards(lo, hi, q, len(sq) - 1):
             r = _strip_cyclotomic(sq)
             if 1 < len(r) < len(sq):
-                polys.insert(0, r)
-
-    def count_above(u: int, w: int = 1) -> int:
-        return _variations(chain, u, w) - v_top
-
-    for p in polys:
-        chain = _sturm_chain(_pairwise_product_poly(p))
-        s0 = _squarefree_part(chain)
-        # chain counts s0's roots at points where s0 != 0; none is >= bound,
-        # so by Sturm's theorem the count there is V(+inf), the sign changes
-        # of the leading coefficients
-        bound = 2 + max(abs(c) for c in s0)
-        v_top = sum(1 for a, b in zip(chain, chain[1:])
-                    if (a[-1] > 0) != (b[-1] > 0))
-        if seed:
-            lo_c, hi_c, q_c = seed
-            hi_c = min(bound * q_c, hi_c) if p is sq else hi_c
-            if (
-                lo_c < hi_c
-                and _sign_at(s0, lo_c, q_c) != 0
-                and _sign_at(s0, hi_c, q_c) != 0
-                and count_above(hi_c, q_c) == 0
-                and (above_lo := count_above(lo_c, q_c)) >= 1
-            ):
-                # the bracket [lo / q, hi / q] of the squared radius
-                lo, hi, q = lo_c, hi_c, q_c
-                break
-    else:
+                p = r
+    chain, s0, v_top, bound = _certificate_chain(p)
+    if seeded:  # the bracket [lo / q, hi / q] of the squared radius
+        hi = min(bound * q, hi) if p is sq else hi
+        seeded = (lo < hi and _sign_at(s0, lo, q) and _sign_at(s0, hi, q)
+                  and _variations(chain, hi, q) == v_top
+                  and (above_lo := _variations(chain, lo, q) - v_top) >= 1)
+    if not seeded:
+        if p is not sq:
+            chain, s0, v_top, bound = _certificate_chain(sq)
         lo, hi, q = 0, bound, 1
-        if (above_lo := count_above(0)) < 1:
+        if (above_lo := _variations(chain, 0) - v_top) < 1:
             raise CertificationError("no positive root located for the radius")
 
-    # Always count_above(hi / q) == 0 and s0(hi / q) != 0. Once exactly one
+    # Always no root of s0 above hi / q, and s0(hi / q) != 0. Once exactly one
     # root lies above lo / q and s0(lo / q) != 0, that root is simple and is
     # the only sign change of s0 in the bracket, so the sign of s0 at a
     # midpoint tells which half holds it. lo_sign is the sign at lo / q from
@@ -433,7 +429,7 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
         if lo_sign:
             above = mid_sign == lo_sign
         else:
-            above = count_above(mid, q)
+            above = _variations(chain, mid, q) - v_top
             if above == 1:
                 lo_sign = mid_sign
         if above:

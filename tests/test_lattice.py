@@ -38,6 +38,7 @@ from mukai_entropy.lattice import (
     pairing_matrix,
     primitive_vector,
     rank_one_model,
+    scale_vector,
     sign_normalized,
     signature_of,
     square,
@@ -416,6 +417,10 @@ def test_vector_helpers():
     assert primitive_vector(V(0, (0,), 0)) == V(0, (0,), 0)
     assert sign_normalized(V(-1, (2,), 0)) == V(1, (-2,), 0)
     assert sign_normalized(V(0, (-3,), 1)) == V(0, (3,), -1)
+    assert scale_vector(-3, V(1, (0, 2), -1)) == V(-3, (0, -6), 3)
+    for n in (True, 1.0, "2"):
+        with pytest.raises(LatticeInputError, match="scale factor"):
+            scale_vector(n, V(1, (0,), 1))
 
 
 def test_line_bundle_vector():

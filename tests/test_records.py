@@ -41,7 +41,12 @@ from mukai_entropy.lattice import (
     rank_one_model,
     structure_sheaf_vector,
 )
-from mukai_entropy.orthosearch import Rank2Form, SignatureReport, rank2_form
+from mukai_entropy.orthosearch import (
+    Rank2Form,
+    SignatureReport,
+    find_positive_orthogonal,
+    rank2_form,
+)
 from mukai_entropy.spectral import (
     CertifiedRadius,
     CharPoly,
@@ -166,6 +171,10 @@ def test_closed_form_radius_matches_the_checking_constructor():
 RANK_TWO = K3LatticeModel(2, ((2, 1), (1, -2)))
 O_X_TWO = MukaiVector(1, (0, 0), 1)
 H_TWO = MukaiVector(0, (1, 0), 0)
+# every positive class of the bound-1 box has 2 v^2 a square, so the search
+# answers with the N v + u repair, which scales v
+RANK_THREE = K3LatticeModel(3, ((2, 0, 0), (0, -4, 2), (0, 2, -2)))
+S_THREE = MukaiVector(-1, (0, 1, -1), 4)
 
 # what the package derives from proved parts, and the checks each call runs
 DERIVED = [
@@ -178,6 +187,10 @@ DERIVED = [
               for known in (False, True)], []),
     # only the check of the caller's s
     ("rank2_form", lambda: rank2_form(RANK_TWO, O_X_TWO, H_TWO),
+     ["is_spherical_class"]),
+    # only the check of the caller's s: the N v + u repair checks nothing
+    ("find_positive_orthogonal",
+     lambda: find_positive_orthogonal(RANK_THREE, S_THREE, 1),
      ["is_spherical_class"]),
     ("restrict_to_sublattice",
      lambda: [restrict_to_sublattice(twist_tensor_action(m),
@@ -235,6 +248,7 @@ def test_derived_values_match_the_checking_constructors():
                    add_vectors(o_x, basis[1]),
                    rank2_form(model, o_x, basis[1]),
                    spherical_twist_action(model, o_x)]
+    values.append(find_positive_orthogonal(RANK_THREE, S_THREE, 1))
     for d in (3, 5, 8, 10 ** 6 + 3):
         r = radius_closed_form(d)
         values += [-r, r + 1, r - r, 2 - r, r + r, Fraction(1, 3) - r]

@@ -981,7 +981,7 @@ def test_isolated_bracket_needs_no_sturm_counts_per_step(monkeypatch):
 def test_radius_certificate_builds_two_sturm_chains(monkeypatch):
     # one for the stripped char poly, one for the pairwise-product
     # polynomial (of the residual, or of sq), whose chain also gives s0 and
-    # every root count
+    # every root count; family_matrix(1) has only cyclotomic factors
     calls = []
     real = spectral._sturm_chain
 
@@ -990,8 +990,8 @@ def test_radius_certificate_builds_two_sturm_chains(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(spectral, "_sturm_chain", counting)
-    for mat in (family_matrix(5), [[-7]], [[2, 0], [0, 3]],
-                _pinned_cases()["word_12_twists_rank6"],
+    for mat in (family_matrix(1), family_matrix(5), [[-7]],
+                [[2, 0], [0, 3]], _pinned_cases()["word_12_twists_rank6"],
                 _pinned_cases()["phi_H_d100_rank8"]):
         calls.clear()
         spectral_radius(mat, 1e-9)
@@ -1088,6 +1088,17 @@ def _cyclotomic_block_matrices(draw):
     return _draw_shear(draw, _block_diag(blocks), (-1, 1, 2))
 
 
+def _pairwise_calls(mat, tol) -> list[list[int]]:
+    """The polynomials spectral_radius builds a pairwise chain for."""
+    calls = []
+    real = spectral._pairwise_product_poly
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_pairwise_product_poly",
+                   lambda q: calls.append(list(q)) or real(q))
+        spectral_radius(mat, tol)
+    return calls
+
+
 @settings(max_examples=120, deadline=None)
 @given(_cyclotomic_block_matrices(), st.booleans(), _TOLS)
 def test_cyclotomic_block_radius_matches_parent_bisection(mat, seeded, tol):
@@ -1121,18 +1132,15 @@ def test_residual_guards_at_their_edges():
     assert guards(1016, 2032, 1, 22) and not guards(1015, 2032, 1, 22)
 
 
-def test_residual_route_runs_on_the_residual(monkeypatch):
+def test_residual_route_runs_on_the_residual():
     # family_matrix(5) has char poly (x + 1)(x^2 + 3x + 1): the pairwise
     # polynomial is built for x^2 + 3x + 1 alone
-    calls = []
-    real = spectral._pairwise_product_poly
-    monkeypatch.setattr(spectral, "_pairwise_product_poly",
-                        lambda q: calls.append(list(q)) or real(q))
-    spectral_radius(family_matrix(5))
-    assert calls == [[1, 3, 1]]
+    assert _pairwise_calls(family_matrix(5), 1e-9) == [[1, 3, 1]]
 
 
 def test_failed_guard_takes_the_route_on_sq(monkeypatch):
+    # with the guards failing nothing is stripped, and the pairwise chain
+    # is built once, on sq
     stripped = []
     monkeypatch.setattr(spectral, "_residual_guards", lambda *args: False)
     monkeypatch.setattr(spectral, "_strip_cyclotomic",
@@ -1140,6 +1148,8 @@ def test_failed_guard_takes_the_route_on_sq(monkeypatch):
     for mat in (family_matrix(5), _pinned_cases()["word_12_twists_rank6"]):
         new, oracle = _radius_and_oracle(mat, 1e-9, True)
         assert new == oracle
+        sq = oracle_squarefree_part(_stripped_char_poly(mat))
+        assert _pairwise_calls(mat, 1e-9) == [sq]
     assert stripped == []
 
 
