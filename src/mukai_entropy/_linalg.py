@@ -6,8 +6,9 @@ argument, with its lower bound, and to_int_matrix for a square integer
 matrix, with its size. Every question about integer spans (kernels,
 membership, primitivity, inverses of unimodular matrices) goes through one
 unimodular column reduction, the only elimination here. Characteristic
-polynomials come from power sums by Newton's identities, and signatures from
-the signs of their coefficients. The square part of an integer, by trial
+polynomials come from power sums by Newton's identities, each trace read off
+one Krylov step on rows packed into single integers, and signatures from the
+signs of their coefficients. The square part of an integer, by trial
 division, serves the closed-form radius (d - 2 + sqrt(d^2 - 4d)) / 2 of the
 twist-tensor family, in spectral and in entropy alike.
 """
@@ -57,6 +58,8 @@ def to_int_matrix(rows, size: int | None = None,
     if len(rows) != n or any(len(row) != n for row in rows):
         shape = "square" if size is None else f"{n}x{n}"
         raise LatticeInputError(f"{what} must be {shape}")
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        return tuple(map(tuple, rows))
     entry = f"{what} entry"
     return tuple(tuple(to_int(x, entry) for x in row) for row in rows)
 
@@ -187,24 +190,28 @@ def monic_from_power_sums(sums) -> list[int]:
 def char_poly_coeffs(a) -> list[int]:
     """Ascending characteristic polynomial of a square integer matrix.
 
-    The power sums tr(A^k), k = 1..n, are traces of A^h A^(k-h) with
-    h = ceil(n/2), so only A^2..A^h are multiplied out (h - 1 products; a
-    trace of a product is n^2 multiplications).
+    The power sums tr(A^k), k = 1..n, come from Krylov steps on packed rows:
+    row i of A^k is one integer y_i = sum_j (A^k)_ij 2^(j b), and
+    A^(k+1) = A A^k is the step y_i <- sum_l A_il y_l, from y_i = 2^(i b).
+    Slot s of sum_i y_i 2^((n-1-i) b) sums (A^k)_ij over j - i = s - n + 1,
+    so slot n - 1 is tr(A^k). With m = ||A||_inf, the largest row sum of
+    |A_ij|, every slot fits b = n bitlen(m) + bitlen(n) + 1 bits: it sums at
+    most n entries, each |(A^k)_ij| <= ||A^k||_inf <= m^k <= m^n < 2^(b-1) / n
+    for 1 <= k <= n (all are 0 when m = 0). Adding 2^(b-1) to slots 0..n-1
+    puts each in [0, 2^b), so no borrow reaches slot n - 1 from below.
     """
     n = len(a)
-    half = (n + 1) // 2
-    powers = [None, a]
-    for _ in range(half - 1):
-        powers.append(mat_mul(powers[-1], a))
-    flat = itertools.chain.from_iterable
+    m = max((sum(map(abs, row)) for row in a), default=0)
+    b = n * m.bit_length() + n.bit_length() + 1
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    offset = half * ((1 << (n * b)) - 1) // mask  # half in slots 0..n-1
+    shifts = [i * b for i in range(n)]
+    ys = [1 << s for s in shifts]
     sums = [0] * (n + 1)
     for k in range(1, n + 1):
-        if k <= half:
-            sums[k] = sum(powers[k][i][i] for i in range(n))
-        else:
-            # tr(X Y) is the entrywise product of X with Y transposed
-            sums[k] = sum(map(operator.mul, flat(powers[half]),
-                              flat(zip(*powers[k - half]))))
+        ys = [sum(map(operator.mul, row, ys)) for row in a]
+        packed = sum(map(operator.lshift, ys, reversed(shifts)))
+        sums[k] = ((packed + offset) >> shifts[-1] & mask) - half
     return monic_from_power_sums(sums)
 
 

@@ -36,7 +36,10 @@ class Isometry(Record):
     (identity, shift); the reflection in s with s^2 = -2 (twist), where
     <v + <v,s>s, w + <w,s>s> = <v,w> + (2 + s^2)<v,s><w,s>; the Mukai
     product with (1, D, D^2/2), integral as the NS diagonal is even
-    (tensor); (AB)^T G (AB) = B^T G B (compose, power); M^-T G M^-1 = G
+    (tensor); (AB)^T G (AB) = B^T G B (compose, power); the twist in
+    (1, 0, 1), which sends (r, c, m) to (-m, c, -r), after the tensor by -H,
+    so the tensor's rows 0 and n - 1 swapped and negated (twist_tensor_action,
+    equal to that compose); M^-T G M^-1 = G
     with M^-1 integral, M being unimodular (inverse). det M == +-1 follows
     and is not re-checked: det(M)^2 det G = det G, and det G = -det NS != 0
     because the model's NS form has signature (1, rho-1).
@@ -192,11 +195,14 @@ def twist_tensor_action(model: K3LatticeModel) -> Isometry:
         raise LatticeInputError(
             "polarization (first NS basis vector) must have positive square"
         )
-    rho = model.picard_rank
-    minus_h = (-1,) + (0,) * (rho - 1)
-    twist = _reflection(model, structure_sheaf_vector(model))
+    minus_h = (-1,) + (0,) * (model.picard_rank - 1)
     tensor = tensor_line_bundle_action(model, minus_h)
-    return compose(twist, tensor)
+    # the twist, (r, c, m) -> (-m, c, -r), swaps the tensor's end rows negated
+    t = tensor.matrix
+    mat = (tuple(-x for x in t[-1]),) + t[1:-1] + (tuple(-x for x in t[0]),)
+    twist = f"twist[{_fmt_vec(structure_sheaf_vector(model))}]"
+    return Isometry._of(model=model, matrix=mat,
+                        label=_join_labels(twist, tensor.label))
 
 
 def polarized_sublattice_basis(model: K3LatticeModel) -> list[MukaiVector]:

@@ -1,8 +1,8 @@
 """Exact characteristic polynomials and certified spectral radii.
 
 Characteristic polynomials come from the power sums tr(A^k) by Newton's
-identities; the traces past A^ceil(n/2) are traces of products of two lower
-powers, so half the matrix products of Faddeev-LeVerrier are left out.
+identities; each trace is read off one Krylov step A^k -> A^(k+1) on rows
+packed into single integers (_linalg.char_poly_coeffs), with no matrix product.
 
 The radius certificate decides every sign exactly: in floating point only when
 a proven error bound excludes zero, and otherwise in exact integers

@@ -3,6 +3,9 @@ _linalg.to_int: each refuses a bool, a float and a string, and a value
 under its lower bound, with a LatticeInputError that names the argument and
 the kind of integer it wants."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from mukai_entropy import _linalg, entropy
@@ -121,6 +124,31 @@ def test_maps_of_vectors_check_their_ns_length():
 def test_matrices_are_checked_square_with_their_size(matrix, size):
     with pytest.raises(LatticeInputError, match="matrix must be"):
         _linalg.to_int_matrix(matrix, size)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, np.int64(2), "2", Fraction(2)],
+                         ids=["bool", "float", "int64", "str", "Fraction"])
+@pytest.mark.parametrize("at", [(0, 0), (1, 2), (2, 1), (2, 2)])
+def test_matrix_entries_other_than_ints_take_the_checked_path(bad, at):
+    # only a matrix of exact ints skips to_int, so every other entry type
+    # is refused with to_int's message wherever it sits
+    rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    rows[at[0]][at[1]] = bad
+    with pytest.raises(LatticeInputError) as info:
+        _linalg.to_int_matrix(rows, 3, "isometry matrix")
+    assert str(info.value) == \
+        f"isometry matrix entry must be an integer, got {bad!r}"
+
+
+def test_int_matrices_come_back_as_int_tuples():
+    class Big(int):
+        pass
+
+    assert _linalg.to_int_matrix([[1, -2], (3, 10 ** 40)]) == \
+        ((1, -2), (3, 10 ** 40))
+    # an int subclass is no exact int, so to_int takes it and keeps it
+    kept = _linalg.to_int_matrix([[Big(5)]])
+    assert kept == ((5,),) and type(kept[0][0]) is Big
 
 
 def test_the_empty_matrix_is_square():

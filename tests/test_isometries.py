@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
     basis_spherical_class,
@@ -21,6 +21,7 @@ from mukai_entropy import _linalg
 from mukai_entropy.errors import InvarianceError, LatticeInputError
 from mukai_entropy.isometries import (
     Isometry,
+    _reflection,
     compose,
     fixes_pointwise,
     identity_action,
@@ -235,6 +236,23 @@ def test_twist_tensor_columns_match_reference():
         assert phi.apply(V(1, (0,), 0)) == V(-d, (-1,), -1)
         assert phi.apply(V(0, (1,), 0)) == V(2 * d, (1,), 0)
         assert phi.apply(V(0, (0,), 1)) == V(-1, (0,), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.integers(0, 10 ** 6))
+def test_twist_tensor_action_is_the_twist_composed_after_the_tensor(rho, seed):
+    # random_k3_model samples by rejection, which takes about 0.25 s a model
+    # at rho 6 and stalls by rho 10; the benchmark's generator covers those
+    rng = random.Random(seed)
+    model = (random_k3_model(rng, rho) if rho <= 4
+             else unimodular_k3_model(rng, rho, rng.randint(1, 10)))
+    assume(model.ns_gram[0][0] > 0)
+    built = compose(
+        _reflection(model, structure_sheaf_vector(model)),
+        tensor_line_bundle_action(model, (-1,) + (0,) * (rho - 1)))
+    phi = twist_tensor_action(model)
+    assert (phi.matrix, phi.label) == (built.matrix, built.label)
+    assert Isometry(model, phi.matrix, phi.label) == phi
 
 
 def test_twist_tensor_requires_positive_polarization():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     _oracle_sign_at,
+    basis_spherical_class,
     cofactor_char_poly,
     fraction_det,
     oracle_char_poly,
@@ -23,6 +24,7 @@ from helpers import (
     poly_mul,
     random_k3_model,
     random_spherical,
+    unimodular_k3_model,
 )
 from mukai_entropy import _linalg, spectral
 from mukai_entropy.errors import CertificationError, LatticeInputError
@@ -1005,20 +1007,94 @@ def test_radius_certificate_builds_two_sturm_chains(monkeypatch):
     assert len(calls) == 3
 
 
-def test_char_poly_multiplies_half_the_powers(monkeypatch):
-    calls = []
-    real = _linalg.mat_mul
+def test_char_poly_makes_no_matrix_product(monkeypatch):
+    # the power sums come from packed Krylov steps, not from powers of A
+    def refuse(a, b):
+        raise AssertionError("char_poly multiplied two matrices")
 
-    def counting(a, b):
-        calls.append(len(a))
-        return real(a, b)
-
-    monkeypatch.setattr(_linalg, "mat_mul", counting)
+    monkeypatch.setattr(_linalg, "mat_mul", refuse)
     rng = random.Random(8)
     for n in range(1, 23):
-        calls.clear()
-        char_poly([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        assert len(calls) == math.ceil(n / 2) - 1
+        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert list(char_poly(mat).coeffs) == oracle_char_poly(mat)
+
+
+def _binomial_power(m: int, n: int) -> list[int]:
+    """Ascending coefficients of (x - m)^n."""
+    return [math.comb(n, k) * (-m) ** (n - k) for k in range(n + 1)]
+
+
+def _slot_filling_matrix(kind: str, n: int, m: int) -> list[list[int]]:
+    """A matrix whose powers fill the packed slots: all m, all -m or the +-m
+    checkerboard (each +-m u u^T with u of entries +-1, so |tr(A^k)| =
+    (n m)^k = ||A||_inf^k), or the companion of (x - m)^n, whose last column
+    holds binomial(n, k) m^(n-k)."""
+    if kind == "companion":
+        return _companion(_binomial_power(m, n))
+    sign = {"plus": lambda i, j: 1, "minus": lambda i, j: -1,
+            "checkerboard": lambda i, j: (-1) ** (i + j)}[kind]
+    return [[sign(i, j) * m for j in range(n)] for i in range(n)]
+
+
+_BIG = 10 ** 30
+
+
+@st.composite
+def _kernel_matrices(draw):
+    n = draw(st.integers(0, 22))
+    m = draw(st.integers(0, _BIG))
+    kind = draw(st.sampled_from(
+        ["random", "plus", "minus", "checkerboard", "companion"]))
+    if kind == "random":
+        entry = st.integers(-m, m)
+        return [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return _slot_filling_matrix(kind, n, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_matrices())
+def test_char_poly_coeffs_match_faddeev_leverrier(mat):
+    assert _linalg.char_poly_coeffs(mat) == oracle_char_poly(mat)
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus", "checkerboard", "companion"])
+@pytest.mark.parametrize("n", [1, 2, 7, 22])
+@pytest.mark.parametrize("m", [1, 3, 2 ** 64 - 1, _BIG])
+def test_char_poly_of_slot_filling_matrices(kind, n, m):
+    # the rank-one kinds have char poly x^(n-1) (x -+ n m), the companion
+    # (x - m)^n; both are exact without any oracle
+    mat = _slot_filling_matrix(kind, n, m)
+    if kind == "companion":
+        expected = _binomial_power(m, n)
+    else:
+        expected = [0] * (n - 1) + [(n * m if kind == "minus" else -n * m), 1]
+    assert _linalg.char_poly_coeffs(mat) == expected
+
+
+@pytest.mark.parametrize("rho", [12, 20])
+def test_thirty_twist_words_match_faddeev_leverrier(rho):
+    # Mukai ranks 14 and 22, consecutive classes pairing to non-zero so the
+    # word does not collapse; the entries reach tens of bits
+    from mukai_entropy.isometries import (
+        compose,
+        spherical_twist_action,
+        twist_tensor_action,
+    )
+    from mukai_entropy.lattice import mukai_pairing
+
+    rng = random.Random(rho)
+    model = unimodular_k3_model(rng, rho, rng.randint(1, 3))
+    word = [basis_spherical_class(rng, model)]
+    while len(word) < 30:
+        s = basis_spherical_class(rng, model)
+        if mukai_pairing(model, s, word[-1]) != 0:
+            word.append(s)
+    action = twist_tensor_action(model)
+    for s in word:
+        action = compose(spherical_twist_action(model, s), action)
+    assert max(abs(x) for row in action.matrix for x in row) > 2 ** 20
+    assert list(char_poly(action.matrix).coeffs) == \
+        oracle_char_poly(action.matrix)
 
 
 # --- the cyclotomic strip and the residual route -----------------------------
