@@ -10,11 +10,14 @@ polynomials come from power sums by Newton's identities, each trace read off
 one Krylov step on rows packed into single integers, and signatures from the
 signs of their coefficients. The square part of an integer, by trial
 division, serves the closed-form radius (d - 2 + sqrt(d^2 - 4d)) / 2 of the
-twist-tensor family, in spectral and in entropy alike.
+twist-tensor family, in spectral and in entropy alike: gy_gap(d) and
+radius_closed_form(d) share one factorization of each d through a one-entry
+memo, so a sweep that asks for both pays once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -256,6 +259,9 @@ def _square_part(n: int) -> tuple[int, int]:
     return f, core * rest
 
 
+# one entry: callers ask for gy_gap(d) and radius_closed_form(d) of one d in
+# turn, so a bigger memo would only grow over a sweep of many d
+@functools.lru_cache(maxsize=1)
 def _closed_form_parts(d: int) -> tuple[int, int]:
     """_square_part(d*d - 4*d) for d >= 5 from the odd parts of d and d - 4:
     they are coprime, so trial division runs to the cube root of d, not d^2.

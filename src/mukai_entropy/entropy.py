@@ -205,8 +205,10 @@ def ext_recursion_table(d: int, i: int, k: int, n_max: int) -> ExtRecursionTable
             top_dim, next_top = next_top, next_top * (d + 2)
             growth *= d + 2
         chi = sum(map(operator.mul, chi_row, moved))
-        rows.append(ExtTableRow(n, n + 2, top_dim, growth, chi, (2, n + 2)))
-    return ExtRecursionTable(d, i, k, tuple(rows))
+        rows.append(ExtTableRow._of(
+            n=n, top_degree=n + 2, top_dim=top_dim, growth_bound=growth,
+            chi=chi, vanishing_range=(2, n + 2)))
+    return ExtRecursionTable._of(d=d, i=i, k=k, rows=tuple(rows))
 
 
 class GapReport(Record):
@@ -234,7 +236,8 @@ def gy_gap(d: int) -> GapReport:
     if d > 4:   # the terms of float(radius_closed_form(d)), rounded alike
         f, core = _closed_form_parts(d)
         log_rho = math.log((d - 2) / 2 + f / 2 * math.sqrt(core))
-    return GapReport(d, lower, log_rho, lower - log_rho, certified)
+    return GapReport._of(d=d, lower_bound=lower, log_rho=log_rho,
+                         gap=lower - log_rho, certified=certified)
 
 
 def entropy_lower_bound_from_radius(action, tolerance: float = 1e-9) -> float:

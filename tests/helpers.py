@@ -688,6 +688,48 @@ def random_k3_model(rng: random.Random, rho: int,
             return K3LatticeModel(rho, tuple(tuple(row) for row in gram))
 
 
+# Dynkin edges of the root lattices A_2, D_4 and E_8, by rank: the Gram of
+# L(-1) has -2 on the diagonal and 1 at each edge
+_ROOT_BLOCKS = {2: [(0, 1)], 4: [(0, 1), (1, 2), (1, 3)],
+                8: [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]}
+
+
+def block_k3_model(rng: random.Random, rho: int) -> K3LatticeModel:
+    """Random even NS Gram of signature (1, rho-1) for any rho 1..20, with
+    no rejection.
+
+    <2d> plus negative-definite even blocks <-2k>, A_2(-1), D_4(-1) and
+    E_8(-1) of total rank rho - 1, then U^T G U for a random unimodular U
+    (a permutation, signs and rho elementary column steps). Sylvester's law
+    keeps the signature, and u^T G u is even for every u since G is even.
+    """
+    g = [[0] * rho for _ in range(rho)]
+    g[0][0] = 2 * rng.randint(1, 10)
+    at = 1
+    while at < rho:
+        size = rng.choice([s for s in (1, 2, 4, 8) if at + s <= rho])
+        for i in range(size):
+            g[at + i][at + i] = -2 * (rng.randint(1, 3) if size == 1 else 1)
+        for i, j in _ROOT_BLOCKS.get(size, ()):
+            g[at + i][at + j] = g[at + j][at + i] = 1
+        at += size
+    perm = list(range(rho))
+    rng.shuffle(perm)
+    u = [[rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(rho)]
+         for i in range(rho)]
+    for _ in range(rho if rho > 1 else 0):
+        i, j = rng.sample(range(rho), 2)
+        c = rng.choice((-1, 1))
+        for row in u:
+            row[i] += c * row[j]
+    gu = [[sum(g[a][b] * u[b][j] for b in range(rho)) for j in range(rho)]
+          for a in range(rho)]
+    return K3LatticeModel(rho, tuple(
+        tuple(sum(u[a][i] * gu[a][j] for a in range(rho)) for j in range(rho))
+        for i in range(rho)
+    ))
+
+
 def spherical_classes_in_box(model: K3LatticeModel, bound: int):
     """All classes of square -2 with coordinates in [-bound, bound]."""
     rho = model.picard_rank

@@ -268,6 +268,9 @@ def test_gap_reference_values():
 
 
 def _count_square_parts(monkeypatch) -> list[int]:
+    # an empty memo, so the counts do not depend on the d a test before
+    # left in it
+    _linalg._closed_form_parts.cache_clear()
     calls = []
     real = _linalg._square_part
 
@@ -290,7 +293,7 @@ def test_gap_canonicalises_the_radius_surd_once(monkeypatch):
 
 def test_square_parts_never_see_more_than_d(monkeypatch):
     # trial division runs on the odd parts of d and d - 4, never on
-    # d^2 - 4d, in gy_gap and in radius_closed_form alike
+    # d^2 - 4d, and once per d for gy_gap and radius_closed_form together
     calls = _count_square_parts(monkeypatch)
     for d in [*range(1, 300), *(2 ** k for k in range(3, 40)),
               *(2 ** k + 4 for k in range(40)), 10 ** 6, 999_983]:
@@ -298,7 +301,30 @@ def test_square_parts_never_see_more_than_d(monkeypatch):
         gy_gap(d)
         radius_closed_form(d)
         assert all(0 < n <= d for n in calls), (d, calls)
-        assert len(calls) == (0 if d <= 4 else 4)
+        assert len(calls) == (0 if d <= 4 else 2)
+
+
+def test_closed_form_memo_holds_one_degree():
+    # a sweep leaves one entry; calls interleaved across degrees, in either
+    # order, equal those made on an emptied memo
+    parts = _linalg._closed_form_parts
+    for d in range(5, 1005):
+        gy_gap(d)
+        radius_closed_form(d)
+    assert parts.cache_info().currsize == 1
+    ds = [5, 6, 50, 5, 999_983, 50, 10 ** 6, 6, 2 ** 40 + 4, 5]
+    seen = []
+    for i, d in enumerate(ds):
+        if i % 2:
+            closed = radius_closed_form(d)
+            gap = gy_gap(d)
+        else:
+            gap = gy_gap(d)
+            closed = radius_closed_form(d)
+        seen.append((gap, closed))
+    for d, got in zip(ds, seen):
+        parts.cache_clear()
+        assert got == (gy_gap(d), radius_closed_form(d)), d
 
 
 def test_gap_at_two_to_the_61_minus_1():

@@ -7,8 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     basis_spherical_class,
+    block_k3_model,
     oracle_coefficient_shells,
     oracle_find_positive_orthogonal,
+    oracle_inertia,
     oracle_perturb_square_case,
     oracle_search_per_candidate_q,
     random_k3_model,
@@ -505,6 +507,36 @@ def test_signature_report_matches_eliminations_at_every_rank(rho, seed):
     plain = signature_report(model, s)
     assert (plain.full, plain.s_line, plain.s_perp, plain.extended) == \
         (report.full, report.s_line, report.s_perp, None)
+
+
+@settings(max_examples=15, deadline=None)
+@given(rho=st.sampled_from((12, 14, 20)), seed=st.integers(0, 2**32 - 1))
+@example(rho=20, seed=0)
+def test_block_models_past_rank_ten_signature_and_complement(rho, seed):
+    # models built from root-lattice blocks, not from <2d> + <-2>^(rho-1),
+    # which K3LatticeModel accepts as it builds them;
+    # sympy's nullspace spans the complement over Q, and a basis whose Smith
+    # form is all ones spans the saturation of that span in Z^(rho+2)
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(seed)
+    model = block_k3_model(rng, rho)
+    assert oracle_inertia(model.ns_gram) == (1, rho - 1, 0)
+    for s in (structure_sheaf_vector(model), _moved_spherical(rng, model)):
+        report = signature_report(model, s)
+        assert (report.full.as_tuple(), report.s_line.as_tuple(),
+                report.s_perp.as_tuple()) == \
+            ((2, rho, 0), (0, 1, 0), (2, rho - 1, 0))
+        basis = sympy.Matrix(
+            [v.coords for v in orthogonal_complement_basis(model, [s])]).T
+        row = sympy.Matrix([s.coords]) * sympy.Matrix(model.mukai_gram)
+        null = row.nullspace()
+        assert basis.shape == (rho + 2, len(null)) == (rho + 2, rho + 1)
+        assert row * basis == sympy.zeros(1, rho + 1)
+        assert sympy.Matrix.hstack(basis, *null).rank() == rho + 1
+        smith = smith_normal_form(basis, domain=sympy.ZZ)
+        assert [smith[i, i] for i in range(rho + 1)] == [1] * (rho + 1)
 
 
 @pytest.mark.parametrize("rho", [1, 2, 8, 20])
