@@ -14,16 +14,14 @@ logarithm of its lattice spectral radius.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
-from . import _linalg
 from ._linalg import _closed_form_parts, to_int
 from ._record import Record
 from .errors import LatticeInputError
 
-# isometries, lattice and spectral are imported by the functions that use
-# them when they run: twist_entropy_curve needs none of them
+# spectral is imported by entropy_lower_bound_from_radius when it runs; the
+# Ext table is closed form in d, i and k and needs no lattice object
 
 
 class CurvePiece(Record):
@@ -151,9 +149,9 @@ def iterated_chi(n: int, i: int, k: int, model) -> int:
     The induced isometry of the rank-one K3LatticeModel `model` applied n
     times to the class of O(-i H), tensored by -k H and paired with the
     structure-sheaf class. It is read off row n of `ext_recursion_table`,
-    so it is no independent check of that table; tests/helpers.py has one,
-    oracle_iterated_chi, through power(phi, n). ext_recursion_table checks
-    i and k.
+    so it is no independent check of that table; tests/helpers.py has two:
+    oracle_iterated_chi, through power(phi, n), and oracle_rr_chi, from the
+    Hilbert polynomial alone. ext_recursion_table checks i and k.
     """
     n = to_int(n, "n", 0)
     if model.picard_rank != 1:
@@ -181,30 +179,27 @@ class ExtRecursionTable(Record):
 
 
 def ext_recursion_table(d: int, i: int, k: int, n_max: int) -> ExtRecursionTable:
-    """Ext growth rows for n = 0..n_max: one matrix-vector product per row,
-    chi(O_X, T_k v) = -<o_x, T_k v> as one dot with the fixed row -T_k^T G o_x,
-    and top_dim and (d+2)^n as running products."""
+    """Ext growth rows for n = 0..n_max on the rank-3 lattice, in closed form.
+
+    The class (r, c, m) of O(-iH) starts at (1, -i, i^2 d + 1); each row
+    applies phi_H, the matrix of twist_tensor_action(rank_one_model(d)), and
+    reads chi(O_X, T_k v) = (1 + k^2 d) r - 2dk c + m, with T_k the tensor by
+    O(-kH). top_dim and (d+2)^n are running products."""
     d = to_int(d, "d", 1)
     i = to_int(i, "i", 1)
     k = to_int(k, "k", 1)
     n_max = to_int(n_max, "n_max", 0)
-    from .isometries import tensor_line_bundle_action, twist_tensor_action
-    from .lattice import rank_one_model, structure_sheaf_vector
-    model = rank_one_model(d)
-    phi = twist_tensor_action(model).matrix
-    tensor_k = tensor_line_bundle_action(model, (-k,)).matrix
-    g_o = _linalg.mat_vec(model.mukai_gram, structure_sheaf_vector(model).coords)
-    chi_row = [-x for x in _linalg.mat_vec(_linalg.transpose(tensor_k), g_o)]
-    moved = (1, -i, i * i * d + 1)
+    r, c, m = 1, -i, i * i * d + 1
+    chi_r, chi_c = 1 + k * k * d, 2 * d * k
     top_dim, growth = _h0(i + k, d), 1
     next_top = _h0(i + 1, d) * _h0(k, d)
     rows = []
     for n in range(n_max + 1):
         if n:
-            moved = _linalg.mat_vec(phi, moved)
+            r, c, m = 2 * d * c - d * r - m, c - r, -r
             top_dim, next_top = next_top, next_top * (d + 2)
             growth *= d + 2
-        chi = sum(map(operator.mul, chi_row, moved))
+        chi = chi_r * r - chi_c * c + m
         rows.append(ExtTableRow._of(
             n=n, top_degree=n + 2, top_dim=top_dim, growth_bound=growth,
             chi=chi, vanishing_range=(2, n + 2)))

@@ -12,6 +12,7 @@ but finitely many N.
 from __future__ import annotations
 
 import operator
+from math import isqrt
 
 from . import _linalg
 from ._linalg import to_int
@@ -179,10 +180,11 @@ def _combination(basis, coeffs) -> MukaiVector:
 
 def _perturb_square_case(model: K3LatticeModel, s: MukaiVector,
                          v: MukaiVector) -> MukaiVector:
-    """N v + u for the least N with 2 (N v + u)^2 not a square.
+    """N v + u for the least N with 2 (N v + u)^2 positive and not a square.
 
     u is orthogonal to s and v, so (N v + u)^2 = N^2 v^2 + u^2: each N costs
     two integers, and only the answer is built as a vector and checked.
+    Since v^2 > 0 and u^2 != 0, that is positive exactly from n0 on.
     """
     basis = orthogonal_complement_basis(model, [s, v])
     u = _anisotropic_combination(basis, pairing_matrix(model, basis))
@@ -191,9 +193,10 @@ def _perturb_square_case(model: K3LatticeModel, s: MukaiVector,
             "no anisotropic perturbation direction orthogonal to s and v"
         )
     qv, qu = square(model, v), square(model, u)
-    for n in range(1, _PERTURBATION_BUDGET + 1):
+    n0 = 1 if qu > 0 else isqrt(-qu // qv) + 1
+    for n in range(n0, n0 + _PERTURBATION_BUDGET):
         q = n * n * qv + qu
-        if q > 0 and not is_perfect_square(2 * q):
+        if not is_perfect_square(2 * q):
             w = add_vectors(scale_vector(n, v), u)
             return _checked_answer(model, s, w, q)
     raise SearchExhaustedError(

@@ -545,18 +545,24 @@ def _oracle_anisotropic_direction(model: K3LatticeModel, basis):
 def oracle_perturb_square_case(model: K3LatticeModel, s: MukaiVector,
                                v: MukaiVector) -> MukaiVector:
     """The N v + u repair with N v + u built as a MukaiVector and squared by
-    index loops for every N; u comes from the package's complement basis of
-    {s, v}, so both pick the same direction."""
+    index loops for every N from 1, the budget counting only the N with a
+    positive square; u comes from the package's complement basis of {s, v},
+    so both pick the same direction."""
     from mukai_entropy.orthosearch import _PERTURBATION_BUDGET
 
     u = _oracle_anisotropic_direction(
         model, orthogonal_complement_basis(model, [s, v]))
     if u is None:
         raise SearchExhaustedError("no anisotropic perturbation direction")
-    for n in range(1, _PERTURBATION_BUDGET + 1):
+    n = tried = 0
+    while tried < _PERTURBATION_BUDGET:
+        n += 1
         w = add_vectors(scale_vector(n, v), u)
         q = oracle_pairing(model, w, w)
-        if q > 0 and not is_perfect_square(2 * q):
+        if q <= 0:
+            continue
+        tried += 1
+        if not is_perfect_square(2 * q):
             if oracle_pairing(model, w, s) != 0:
                 raise AssertionError(f"repair {w} is not orthogonal to s")
             return sign_normalized(primitive_vector(w))
@@ -626,6 +632,59 @@ def oracle_iterated_chi(n: int, i: int, k: int, d: int) -> int:
     start = MukaiVector(1, (-i,), i * i * d + 1)
     moved = tensor_k.apply(power(phi, n).apply(start))
     return euler_pairing(model, structure_sheaf_vector(model), moved)
+
+
+def _rr_twist_tensor(d: int):
+    """phi_H on the numerical K-group of a K3 with H^2 = 2d, from the Hilbert
+    polynomial P(k) = d k^2 + 2 alone.
+
+    Coordinates are in the basis [O(jH)], j = 0, 1, 2, with
+    chi(O(a), O(b)) = P(b - a). Tensoring by O(-H) lowers j by one and sends
+    [O] to [O(-H)] = 3 - 3 [O(H)] + [O(2H)], since (1 - [O(-H)])^3 = 0.
+    Returns (phi, dual, chi_o): phi(v) = w - chi(O, w) [O] with w = v (x)
+    O(-H), dual(v) = v (x) O(-H), and chi_o(v) = chi(O, v).
+    """
+    chi_row = [d * b * b + 2 for b in range(3)]
+
+    def chi_o(v):
+        return sum(x * y for x, y in zip(chi_row, v))
+
+    def dual(v):
+        a, b, c = v
+        return (3 * a + b, -3 * a + c, a)
+
+    def phi(v):
+        w = dual(v)
+        return (w[0] - chi_o(w),) + w[1:]
+
+    return phi, dual, chi_o
+
+
+def oracle_rr_chi(n_max: int, i: int, k: int, d: int) -> list[int]:
+    """chi(O, phi^n [O(-iH)] (x) O(-kH)) for n = 0..n_max, by Riemann-Roch.
+
+    Shares no code with the package: see _rr_twist_tensor.
+    """
+    phi, dual, chi_o = _rr_twist_tensor(d)
+    v = (1, 0, 0)
+    for _ in range(i):
+        v = dual(v)
+    chis = []
+    for n in range(n_max + 1):
+        if n:
+            v = phi(v)
+        w = v
+        for _ in range(k):
+            w = dual(w)
+        chis.append(chi_o(w))
+    return chis
+
+
+def oracle_rr_phi_matrix(d: int) -> list[list[int]]:
+    """Matrix of the Riemann-Roch phi_H in the basis [O], [O(H)], [O(2H)]."""
+    phi, _, _ = _rr_twist_tensor(d)
+    columns = [phi(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return [list(row) for row in zip(*columns)]
 
 
 def unimodular_k3_model(rng: random.Random, rho: int, d: int) -> K3LatticeModel:

@@ -618,14 +618,39 @@ def _square_case_lattice(exponent):
             f'[1, -2{"0" * exponent}]]}}')
 
 
-def test_square_case_search_exits_four_quickly():
-    # the repair needs N past its budget of 10^6 here; it costs two
-    # integers per N, so the exhausted search ends in well under a second
+def test_square_case_search_answers_at_the_first_positive_n():
+    # N v + u is positive only past N = 10^6, where the repair starts, so
+    # its first N already answers: 2 (10^6 + 1)^2 - 2 10^12 = 4 000 002
     start = time.perf_counter()
     code, out, err = run_cli(
         "complement-search", "--lattice", _square_case_lattice(12),
         "--s", '{"r": 1, "c": [0, 0], "m": 1}', "--bound", "1")
     assert time.perf_counter() - start < 4.0
+    assert (code, err) == (0, "")
+    assert out == ('{"v": {"r": 1000001,"c": [0,1],"m": -1000001},'
+                   '"v_squared": 4000002,"twice_square": 8000004,'
+                   '"is_square": false}\n')
+
+
+def test_search_with_no_positive_class_in_the_box_exits_four():
+    # the bound-3 box of this model holds no positive class at all
+    lattice = '{"picard_rank": 3, "ns_gram": [[4,-6,-6],[-6,4,1],[-6,1,-8]]}'
+    code, out, err = run_cli("complement-search", "--lattice", lattice,
+                             "--s", '{"r": -2, "c": [0, 5, -3], "m": 0}',
+                             "--bound", "3")
+    assert (code, out) == (4, "")
+    assert err.startswith("search exhausted: no positive orthogonal class")
+    assert err.endswith("raise the bound\n")
+
+
+def test_exhausted_repair_budget_exits_four(monkeypatch):
+    # every positive class of the bound-1 box has 2 v^2 a square, so the
+    # search goes to the repair, which gets no N at all here
+    monkeypatch.setattr(orthosearch, "_PERTURBATION_BUDGET", 0)
+    lattice = '{"picard_rank": 3, "ns_gram": [[2,0,0],[0,-4,2],[0,2,-2]]}'
+    code, out, err = run_cli("complement-search", "--lattice", lattice,
+                             "--s", '{"r": -1, "c": [0, 1, -1], "m": 4}',
+                             "--bound", "1")
     assert (code, out) == (4, "")
     assert err == ("search exhausted: perturbation budget exhausted "
                    "without breaking squareness\n")

@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_iterated_chi, oracle_radius_parts
-from mukai_entropy import _linalg, entropy, isometries
+from helpers import (
+    oracle_iterated_chi,
+    oracle_radius_parts,
+    oracle_rr_chi,
+    oracle_rr_phi_matrix,
+)
+from mukai_entropy import _linalg, entropy, isometries, lattice
 from mukai_entropy.entropy import (
     CurvePiece,
     EntropyCurve,
@@ -19,7 +24,7 @@ from mukai_entropy.entropy import (
     twist_entropy_curve,
 )
 from mukai_entropy.errors import LatticeInputError
-from mukai_entropy.spectral import radius_closed_form
+from mukai_entropy.spectral import char_poly, radius_closed_form, spectral_radius
 from mukai_entropy.isometries import identity_action, shift_action, twist_tensor_action
 from mukai_entropy.lattice import (
     MukaiVector,
@@ -79,6 +84,20 @@ def test_curve_validation():
         ))
     with pytest.raises(LatticeInputError):
         twist_entropy_curve(0, True)
+    with pytest.raises(LatticeInputError, match="at least one piece"):
+        EntropyCurve(())
+    with pytest.raises(LatticeInputError, match="must tile the line"):
+        EntropyCurve((
+            CurvePiece(None, Fraction(0), Fraction(1), Fraction(0), True),
+            CurvePiece(Fraction(1), None, Fraction(0), Fraction(0), True),
+        ))
+
+
+def test_curve_piece_is_open_at_its_lower_end():
+    piece = CurvePiece(Fraction(0), Fraction(2), Fraction(1), Fraction(0), True)
+    assert not piece.contains(Fraction(-1))
+    assert not piece.contains(Fraction(0))
+    assert piece.contains(Fraction(1, 3)) and piece.contains(Fraction(2))
 
 
 @pytest.mark.parametrize("flag", ["no", "unknown", [0], 1, None])
@@ -214,18 +233,43 @@ def test_ext_rows_match_the_per_row_formulas(d, i, k):
         assert row.chi == oracle_iterated_chi(n, i, k, d)
 
 
-def test_ext_table_builds_phi_once(monkeypatch):
-    built = []
-    real = isometries.twist_tensor_action
+def test_ext_table_matches_riemann_roch_oracle():
+    # chi on the numerical K-group from P(k) = d k^2 + 2 alone, against the
+    # table's closed form on the Mukai lattice
+    for d in range(1, 9):
+        for i in (1, 2, 3):
+            for k in (1, 2, 3):
+                table = ext_recursion_table(d, i, k, 50)
+                assert [row.chi for row in table.rows] == \
+                    oracle_rr_chi(50, i, k, d)
 
-    def counting(model):
-        built.append(model)
-        return real(model)
 
-    monkeypatch.setattr(isometries, "twist_tensor_action", counting)
+@pytest.mark.parametrize("d", [1, 2, 5, 100])
+def test_phi_char_poly_matches_riemann_roch_oracle(d):
+    import sympy
+
+    x = sympy.symbols("x")
+    expected = sympy.Matrix(oracle_rr_phi_matrix(d)).charpoly(x).all_coeffs()
+    got = char_poly(twist_tensor_action(rank_one_model(d)).matrix).coeffs
+    assert list(got) == [int(c) for c in reversed(expected)]
+
+
+def test_ext_table_builds_no_model_or_isometry(monkeypatch):
+    # the table walks (r, c, m) in closed form: building a lattice model, an
+    # isometry or a Mukai vector on its way is an error
+    model = rank_one_model(3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Ext table built a lattice object")
+
+    for cls in (lattice.K3LatticeModel, lattice.MukaiVector,
+                isometries.Isometry):
+        monkeypatch.setattr(cls, "__init__", refuse)
+        monkeypatch.setattr(cls, "_of", refuse)
     table = ext_recursion_table(3, 1, 2, 50)
     assert len(table.rows) == 51
-    assert len(built) == 1
+    assert iterated_chi(50, 1, 2, model) == table.rows[50].chi
+    assert table.rows[0].chi == ext_top_dim(0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("call, checks", [
@@ -396,3 +440,14 @@ def test_entropy_lower_bound_never_exceeds_log_radius():
         )
         assert bound <= exact
         assert exact - bound <= 2 * tol
+
+
+def test_entropy_lower_bound_rounds_an_upward_float_down():
+    # at d = 2097155 the nearest float to the bracket's lower end lies above
+    # it, so the bound starts from the float one ulp below
+    action = twist_tensor_action(rank_one_model(2097155))
+    lo = spectral_radius(action.matrix, 1e-9).lo
+    below = math.nextafter(float(lo), -math.inf)
+    assert Fraction(float(lo)) > lo >= Fraction(below)
+    assert entropy_lower_bound_from_radius(action) == \
+        math.nextafter(math.log(below), -math.inf)

@@ -429,6 +429,12 @@ def test_isometry_from_dict_refuses_a_label_that_is_not_a_string(label):
     assert isometry_from_dict(rank_one_model(2), data).label == "loaded"
 
 
+@pytest.mark.parametrize("data", [{}, {"matrix": [[1]]}, [], None])
+def test_isometry_from_dict_needs_matrix_and_picard_rank(data):
+    with pytest.raises(LatticeInputError, match="needs keys"):
+        isometry_from_dict(rank_one_model(2), data)
+
+
 def test_power_refuses_entries_past_the_bit_cap():
     phi = twist_tensor_action(rank_one_model(7))
     # radius (5 + sqrt(21)) / 2, about 2.26 bits per step: 3000 steps stay

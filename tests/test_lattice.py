@@ -421,6 +421,10 @@ def test_vector_helpers():
     for n in (True, 1.0, "2"):
         with pytest.raises(LatticeInputError, match="scale factor"):
             scale_vector(n, V(1, (0,), 1))
+    assert V.from_coords(iter([2, 0, -1])) == V(2, (0,), -1)
+    for seq in ([1], []):
+        with pytest.raises(LatticeInputError, match="too short"):
+            V.from_coords(seq)
 
 
 def test_line_bundle_vector():

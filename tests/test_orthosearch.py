@@ -446,6 +446,8 @@ def test_signature_report_reference_model():
     assert report.s_perp.as_tuple() == (2, 0, 0)
     assert report.s_line.as_tuple() == (0, 1, 0)
     assert report.extended is None
+    with pytest.raises(LatticeInputError, match="spherical class"):
+        signature_report(m, V(0, (1,), 0))  # square 4
 
 
 def test_signature_report_with_negative_subspace():
@@ -454,6 +456,18 @@ def test_signature_report_with_negative_subspace():
     assert report.extended.as_tuple() == (1, 1, 0)
     with pytest.raises(LatticeInputError):
         signature_report(m, S, [V(0, (1,), 0)])  # positive square
+
+
+def test_repair_counts_its_budget_from_the_first_positive_n(monkeypatch):
+    # v = (1, 0, -1) has square 2 and u = (0, (0, 1), 0) square -2 10^12, so
+    # N v + u is positive from N = 10^6 + 1 on (N = 10^6 gives 0), and a
+    # budget of one N already answers there
+    monkeypatch.setattr(orthosearch, "_PERTURBATION_BUDGET", 1)
+    model = K3LatticeModel(2, ((0, 1), (1, -2 * 10 ** 12)))
+    s = V(1, (0, 0), 1)
+    repaired = orthosearch._perturb_square_case(model, s, V(1, (0, 0), -1))
+    assert repaired == V(10 ** 6 + 1, (0, 1), -(10 ** 6 + 1))
+    assert square(model, repaired) == 4_000_002
 
 
 def test_s_perp_drops_one_negative_direction():

@@ -302,7 +302,7 @@ SUBCOMMAND_MODULES = [
     (["entropy-curve", "--spherical-dim", "2", "--complement", "yes",
       "--t-min", "-1", "--t-max", "1", "--step", "1"], {"entropy"}),
     (["ext-recursion", "--d", "2", "--i", "1", "--k", "1", "--n-max", "3"],
-     {"entropy", "lattice", "isometries"}),
+     {"entropy"}),
     (["complement-search", "--lattice", MODEL, "--s", SPHERE,
       "--bound", "2"], {"lattice", "orthosearch"}),
 ]

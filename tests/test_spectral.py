@@ -50,6 +50,8 @@ def test_char_poly_examples():
     assert char_poly(family_matrix(5)).coeffs == (1, 4, 4, 1)
     assert char_poly([[1, 0], [0, 1]]).coeffs == (1, -2, 1)
     assert char_poly([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]).coeffs == (1, 3, 3, 1)
+    assert char_poly(family_matrix(5)).degree == 3
+    assert char_poly([[7]]).degree == 1 and CharPoly((1,)).degree == 0
 
 
 def test_char_poly_against_cofactor_oracle():
@@ -197,6 +199,9 @@ def test_surd_canonicalization_and_sign():
     assert QuadraticSurd(Fraction(1), Fraction(1), 2) < Fraction(5, 2)
     with pytest.raises(LatticeInputError):
         QuadraticSurd(Fraction(0), Fraction(1), -2)
+    assert radius_closed_form(4).is_rational()
+    assert not radius_closed_form(5).is_rational()
+    assert QuadraticSurd(Fraction(1), Fraction(2), 4).is_rational()  # 1 + 2*2
 
 
 @pytest.mark.parametrize("root", [2.5, "8", True, float("nan")],
@@ -1276,3 +1281,14 @@ def test_strip_matches_sympy_factor_list(ms, others):
 
 def test_surd_unary_plus():
     assert +radius_closed_form(5) == radius_closed_form(5)
+
+
+@pytest.mark.parametrize("op", [
+    lambda s: s + 1.5, lambda s: 1.5 + s, lambda s: s - 1.5,
+    lambda s: 1.5 - s,
+], ids=["add", "radd", "sub", "rsub"])
+def test_surd_arithmetic_refuses_a_float(op):
+    # a float would lose the exactness the surd carries
+    with pytest.raises(TypeError):
+        op(radius_closed_form(5))
+
