@@ -292,9 +292,10 @@ def _cmd_ext_recursion(args) -> str:
     if min(d, i, k, n_max + 1) >= 1:
         # Refused before any row is built: row n_max's top dimension
         # h0(i+1) h0(1)^(n_max-1) h0(k) has more than limit digits from
-        # 4 * limit bits up, and below that it is cheap to compute and try.
+        # 4 * limit bits up, and below that it is cheap to compute and to
+        # compare with 10^limit, which needs no int-to-str conversion.
         if ((n_max - 1) * ((d + 2).bit_length() - 1) >= 4 * limit
-                or len(_fmt_exact(ext_top_dim(n_max, i, k, d))) > limit):
+                or ext_top_dim(n_max, i, k, d) >= 10 ** limit):
             raise LatticeInputError(f"--n-max {n_max}: over {limit} digits")
     table = ext_recursion_table(d, i, k, n_max)
     rows = [

@@ -43,6 +43,22 @@ M(s0) <= sqrt(deg s0 + 1) max|c|, with M(s0) >= rho^3 as rho^2 and lambda zeta
 the real roots of s0_r are roots of s0_sq, both top out at rho^2 (r != 1 holds
 every root of modulus rho > 1), and a failed count or sign at hi puts rho^2 at
 or above hi / q, below bound.
+
+Once [lo, hi] / q isolates x* = rho^2, each step keeps the half holding x*:
+the loop walks the dyadic path of x* (_dyadic_bracket) to its first bracket
+that passes the width test. Seeded, spectral_radius takes that bracket on the
+path of est^2, at depth j <= min(32, max_steps), and proves it by two exact
+signs: lo_sign at its low end and -lo_sign at its high end put x* strictly
+inside, so no earlier midpoint (an end of a coarser cell) was a root and each
+step to depth j decides as the loop would. The loop goes on with steps = j
+(from the seed if the proof fails), raising past max_steps where it did.
+Radius 1 (Kronecker): if r is 1 and lo < q < hi, every root of s0 has modulus
+1, the only positive one is 1 (zeta conj(zeta) or (+-1)^2), and hi / q <
+(1001 / 999)^2 < 3 <= bound: the seed check passes with above_lo == 1, and
+the path of 1 (if no deeper than max_steps) is returned before any pairwise
+chain is built. 1 is no midpoint a^2 (998001 + 4000 k / 2^j) / (10^6 b^2) of
+this seed (est = a / b, b = 2^m): that needs a^2 | 5^6, est = 1 needs 4000 k =
+1999 2^j, and no a / 2^m, a in {5, 25, 125}, is within 0.1% of 1 (else None).
 """
 
 from __future__ import annotations
@@ -326,6 +342,66 @@ def _residual_guards(lo: int, hi: int, q: int, n: int) -> bool:
         hi - lo <= q or lo ** 3 >= (n * (n + 1) // 2 + 1) * hi * hi * q)
 
 
+def _root_bounds(lo: int, hi: int, q: int, scale: int) -> tuple[int, int]:
+    """floor(sqrt(lo / q) scale) and floor(sqrt(hi / q) scale) + 1."""
+    return (math.isqrt(lo * scale * scale // q),
+            math.isqrt(hi * scale * scale // q) + 1)
+
+
+def _dyadic_bracket(lo, hi, q, x: Fraction, scale, width, cap=math.inf):
+    """(j, lo_j, hi_j, q_j): the first bracket on the dyadic path of x through
+    [lo, hi] / q that passes the width test r_hi - r_lo <= width, or the one
+    at depth j = cap; None unless lo < x q < hi and x is on no midpoint.
+
+    At depth j it starts at lo / q + k (hi - lo) / (q 2^j), k = floor((x q -
+    lo) 2^j / (hi - lo)); x is on a midpoint iff the floor is exact. On a
+    nested path r_lo never falls and r_hi never grows, so the test only
+    tightens: the depth is bisected, evaluating no polynomial, past each j with
+    2^j <= t, where r_hi - r_lo > scale (hi-lo)/(2^(j+1) sqrt(hi q)) >= width.
+    """
+    span = hi - lo
+    num, den = x.numerator * q - lo * x.denominator, span * x.denominator
+    if not 0 < num < den:
+        return None
+
+    def cell(j):
+        k, rem = divmod(num << j, den)
+        return rem, (j, (lo << j) + k * span, (lo << j) + (k + 1) * span,
+                     q << j)
+
+    def fits(j):
+        r_lo, r_hi = _root_bounds(*cell(j)[1][1:], scale)
+        return r_hi - r_lo <= width
+
+    t = scale * span // (2 * width * (math.isqrt(hi * q) + 1))
+    bad = min(t.bit_length() - 1, cap)  # no depth up to bad passes
+    good = min(bad + 1, cap)  # passes, or is cap
+    while good < cap and not fits(good):
+        bad, good = good, min(3 * good - 2 * bad, cap)
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        bad, good = (bad, mid) if fits(mid) else (mid, good)
+    rem, path = cell(good)
+    return path if rem else None
+
+
+def _result(r_lo, r_hi, scale, tolerance) -> CertifiedRadius:
+    """[r_lo, r_hi] / scale, valued at its midpoint's float (else r_lo's)."""
+    lo_root, hi_root = Fraction(r_lo, scale), Fraction(r_hi, scale)
+    mid = (lo_root + hi_root) / 2
+    try:
+        value = float(mid)
+    except OverflowError as exc:
+        raise LatticeInputError(
+            f"spectral radius of about 2^{math.floor(mid).bit_length()}"
+            f" is past the float range"
+        ) from exc
+    if not (lo_root <= Fraction(value) <= hi_root):
+        value = float(lo_root)
+    return CertifiedRadius._of(value=value, lo=lo_root, hi=hi_root,
+                               tolerance=tolerance)
+
+
 def spectral_radius(matrix, tolerance: float = 1e-9,
                     max_steps: int = 10 ** 6) -> CertifiedRadius:
     """Certified spectral radius of a square integer matrix.
@@ -343,11 +419,11 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     while coeffs[0] == 0:
         coeffs.pop(0)
     if len(coeffs) == 1:
-        return CertifiedRadius._of(value=0.0, lo=Fraction(0), hi=Fraction(0),
-                                   tolerance=tolerance)
+        return _result(0, 0, 1, tolerance)
     sq = _squarefree_part(_sturm_chain(coeffs))
     # log2(8 / tolerance), but 8 / tolerance overflows below about 4.5e-308
-    bits = max(24, math.ceil(3 - math.log2(tolerance)))
+    scale = 1 << max(24, math.ceil(3 - math.log2(tolerance)))
+    width = math.floor(Fraction(tolerance) * scale)
 
     # Optional float seed; adopted only if the exact counts confirm it.
     # numpy is imported here, its one use, so that nothing else loads it.
@@ -361,6 +437,11 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     if seeded := 0 < est < math.inf:
         a, b = est.as_integer_ratio()
         lo, hi, q = (999 * a) ** 2, (1001 * a) ** 2, (1000 * b) ** 2
+        # radius 1 (Kronecker): the path of 1 is the seeded route's
+        path = lo < q < hi and _strip_cyclotomic(sq) == [1] and (
+            _dyadic_bracket(lo, hi, q, Fraction(1), scale, width))
+        if path and path[0] <= max_steps:
+            return _result(*_root_bounds(*path[1:], scale), scale, tolerance)
         if _residual_guards(lo, hi, q, len(sq) - 1):
             r = _strip_cyclotomic(sq)
             if 1 < len(r) < len(sq):
@@ -368,13 +449,14 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     chain, s0, v_top, bound = _certificate_chain(p)
     if seeded:  # the bracket [lo / q, hi / q] of the squared radius
         hi = min(bound * q, hi) if p is sq else hi
-        seeded = (lo < hi and _sign_at(s0, lo, q) and _sign_at(s0, hi, q)
+        seeded = (lo < hi and (lo_sign := _sign_at(s0, lo, q))
+                  and _sign_at(s0, hi, q)
                   and _variations(chain, hi, q) == v_top
                   and (above_lo := _variations(chain, lo, q) - v_top) >= 1)
     if not seeded:
         if p is not sq:
             chain, s0, v_top, bound = _certificate_chain(sq)
-        lo, hi, q = 0, bound, 1
+        lo, hi, q, lo_sign = 0, bound, 1, _sign_at(s0, 0)
         if (above_lo := _variations(chain, 0) - v_top) < 1:
             raise CertificationError("no positive root located for the radius")
 
@@ -383,31 +465,17 @@ def spectral_radius(matrix, tolerance: float = 1e-9,
     # the only sign change of s0 in the bracket, so the sign of s0 at a
     # midpoint tells which half holds it. lo_sign is the sign at lo / q from
     # then on, and 0 while Sturm counts still decide.
-    lo_sign = _sign_at(s0, lo, q) if above_lo == 1 else 0
-    scale = 1 << bits
-    width = math.floor(Fraction(tolerance) * scale)
-    steps = 0
+    lo_sign, steps = lo_sign if above_lo == 1 else 0, 0
+    # seeded and isolated: est^2's path, proved by two signs (module docstring)
+    if seeded and lo_sign and (path := _dyadic_bracket(
+            lo, hi, q, Fraction(a * a, b * b), scale, width, 32)) and (
+            path[0] <= max_steps and _sign_at(s0, path[1], path[3]) == lo_sign
+            and _sign_at(s0, path[2], path[3]) == -lo_sign):
+        steps, lo, hi, q = path
     while True:
-        # floor(sqrt(lo / q) * scale) and one more than floor(sqrt(hi / q) *
-        # scale) bound the square roots; hi > 0 throughout
-        r_lo = math.isqrt(lo * scale * scale // q)
-        r_hi = math.isqrt(hi * scale * scale // q) + 1
+        r_lo, r_hi = _root_bounds(lo, hi, q, scale)  # hi > 0 throughout
         if r_hi - r_lo <= width:
-            lo_root, hi_root = Fraction(r_lo, scale), Fraction(r_hi, scale)
-            mid = (lo_root + hi_root) / 2
-            try:
-                value = float(mid)
-            except OverflowError as exc:
-                raise LatticeInputError(
-                    f"spectral radius of about 2^{math.floor(mid).bit_length()}"
-                    f" is past the float range"
-                ) from exc
-            if not (lo_root <= Fraction(value) <= hi_root):
-                value = float(lo_root)
-            # lo < hi as r_lo < r_hi, and hi - lo <= tolerance as the loop
-            # exits only once r_hi - r_lo <= floor(tolerance * scale)
-            return CertifiedRadius._of(value=value, lo=lo_root, hi=hi_root,
-                                       tolerance=tolerance)
+            return _result(r_lo, r_hi, scale, tolerance)
         steps += 1
         if steps > max_steps:
             raise CertificationError(

@@ -339,12 +339,14 @@ def test_entropy_curve_value_past_digit_limit_exits_two(digit_limit):
 
 
 def test_ext_recursion_refuses_huge_degree(digit_limit):
+    # row 1's top dimension has about 6000 digits: refused by the guard,
+    # which names the flag, with the limit on as with it off
     code, out, err = run_cli(
         "ext-recursion", "--d", "1" * 3001, "--i", "1", "--k", "1",
         "--n-max", "1",
     )
     assert (code, out) == (2, "")
-    assert err == "error: result has more than 4300 digits\n"
+    assert err == "error: --n-max 1: over 4300 digits\n"
 
 
 def test_ext_recursion_refuses_long_table_before_building(digit_limit,
@@ -386,6 +388,18 @@ def test_guards_keep_the_default_limit_without_one(no_digit_limit, argv):
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "4300" in err
+
+
+@pytest.mark.parametrize("limit", ["digit_limit", "no_digit_limit"])
+def test_ext_recursion_one_row_past_the_limit_names_n_max(request, limit):
+    # row 9011 at d = i = k = 1 has 4301 digits; the guard compares it with
+    # 10^4300 before any int-to-str conversion, so its own message prints
+    # whether the interpreter's limit is on or off
+    request.getfixturevalue(limit)
+    code, out, err = run_cli(
+        "ext-recursion", "--d", "1", "--i", "1", "--k", "1", "--n-max", "9011")
+    assert (code, out) == (2, "")
+    assert err == "error: --n-max 9011: over 4300 digits\n"
 
 
 def test_ext_recursion_below_the_default_limit_runs_without_one(no_digit_limit):

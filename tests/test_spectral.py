@@ -988,7 +988,8 @@ def test_isolated_bracket_needs_no_sturm_counts_per_step(monkeypatch):
 def test_radius_certificate_builds_two_sturm_chains(monkeypatch):
     # one for the stripped char poly, one for the pairwise-product
     # polynomial (of the residual, or of sq), whose chain also gives s0 and
-    # every root count; family_matrix(1) has only cyclotomic factors
+    # every root count; family_matrix(1) has only cyclotomic factors, so its
+    # radius is 1 by Kronecker's theorem and only sq's chain is built
     calls = []
     real = spectral._sturm_chain
 
@@ -997,12 +998,13 @@ def test_radius_certificate_builds_two_sturm_chains(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(spectral, "_sturm_chain", counting)
-    for mat in (family_matrix(1), family_matrix(5), [[-7]],
-                [[2, 0], [0, 3]], _pinned_cases()["word_12_twists_rank6"],
-                _pinned_cases()["phi_H_d100_rank8"]):
+    for mat, chains in ((family_matrix(1), 1), (family_matrix(5), 2),
+                        ([[-7]], 2), ([[2, 0], [0, 3]], 2),
+                        (_pinned_cases()["word_12_twists_rank6"], 2),
+                        (_pinned_cases()["phi_H_d100_rank8"], 2)):
         calls.clear()
         spectral_radius(mat, 1e-9)
-        assert len(calls) == 2
+        assert len(calls) == chains
     calls.clear()
     spectral_radius([[0, 1], [0, 0]])  # stripped char poly is constant
     assert calls == []
@@ -1292,3 +1294,200 @@ def test_surd_arithmetic_refuses_a_float(op):
     with pytest.raises(TypeError):
         op(radius_closed_form(5))
 
+
+
+# --- the dyadic path: radius 1 by Kronecker, and a bracket proved by two signs
+
+def _grid(tol):
+    scale = 1 << max(24, math.ceil(3 - math.log2(tol)))
+    return scale, math.floor(Fraction(tol) * scale)
+
+
+def _bisect_towards(x, lo, hi, tol, cap):
+    """(depth, lo, hi) of plain Fraction bisection towards x until the square
+    roots of [lo, hi] on the grid 1 / scale fit the width, or depth cap; None
+    when a midpoint is x."""
+    scale, width = _grid(tol)
+    depth = 0
+    while (math.isqrt(math.floor(hi * scale ** 2)) + 1
+           - math.isqrt(math.floor(lo * scale ** 2)) > width and depth < cap):
+        mid = (lo + hi) / 2
+        if mid == x:
+            return None
+        lo, hi = (mid, hi) if x > mid else (lo, mid)
+        depth += 1
+    return depth, lo, hi
+
+
+def _dyadic(lo, hi, q, x, tol, cap=math.inf):
+    path = spectral._dyadic_bracket(lo, hi, q, x, *_grid(tol), cap)
+    return path and (path[0], Fraction(path[1], path[3]),
+                     Fraction(path[2], path[3]))
+
+
+@st.composite
+def _dyadic_inputs(draw):
+    q = draw(st.integers(1, 10 ** 6))
+    lo = draw(st.integers(0, 10 ** 9))
+    hi = lo + draw(st.integers(1, 10 ** 7))
+    # x q strictly inside (lo, hi), at integer, dyadic and other offsets
+    den = draw(st.sampled_from((2, 3, 7, 2 ** 20, 10 ** 6 + 3)))
+    x = Fraction(lo * den + draw(st.integers(1, (hi - lo) * den - 1)), q * den)
+    tol = draw(st.sampled_from((1e-1, 1e-3, 1e-9, 1e-40, 1e-300)))
+    cap = draw(st.sampled_from((0, 1, 5, 32, math.inf)))
+    return lo, hi, q, x, tol, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dyadic_inputs())
+def test_dyadic_bracket_matches_plain_bisection(case):
+    lo, hi, q, x, tol, cap = case
+    assert _dyadic(lo, hi, q, x, tol, cap) == \
+        _bisect_towards(x, Fraction(lo, q), Fraction(hi, q), tol, cap)
+
+
+def test_dyadic_bracket_edges():
+    # the seed bracket already fits: depth 0, the bracket itself
+    assert _dyadic(100, 101, 100, Fraction(201, 200), 1e-1) == \
+        (0, Fraction(1), Fraction(101, 100))
+    # x on a midpoint of the path, at depth 1, 2 or 22, or not strictly
+    # inside the bracket: no path
+    for x in (Fraction(2), Fraction(1), Fraction(3), 3 + Fraction(1, 2 ** 20)):
+        assert _dyadic(0, 4, 1, x, 1e-9) is None
+        assert _bisect_towards(x, Fraction(0), Fraction(4), 1e-9, 99) is None
+    for x in (Fraction(0), Fraction(4), Fraction(5)):
+        assert _dyadic(0, 4, 1, x, 1e-9) is None
+    # the midpoint lies past the depth that fits, so it is never reached
+    assert _dyadic(0, 4, 1, Fraction(1), 10.0) == (0, Fraction(0), Fraction(4))
+    # tol = 1e-300, the seed of est = 1 around x = 1, as the radius-1 exit
+    lo, hi, q = _seed_of(1.0)
+    for tol in (1e-9, 1e-300):
+        assert _dyadic(lo, hi, q, Fraction(1), tol) == _bisect_towards(
+            Fraction(1), Fraction(lo, q), Fraction(hi, q), tol, math.inf)
+    assert _dyadic(lo, hi, q, Fraction(1), 1e-300)[0] > 900
+
+
+def _signs_after_isolation(mat, tol):
+    """The _sign_at calls spectral_radius makes after its last Sturm count."""
+    events = []
+    real_sign = spectral._sign_at
+
+    def sign(*args):
+        events.append("sign")
+        return real_sign(*args)
+
+    def variations(chain, *point):
+        signs = [real_sign(p, *point) for p in chain]  # not counted
+        events.append("count")
+        nonzero = [s for s in signs if s]
+        return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_sign_at", sign)
+        mp.setattr(spectral, "_variations", variations)
+        rad = spectral_radius(mat, tol)
+    last = max((i for i, e in enumerate(events) if e == "count"), default=None)
+    return rad, None if last is None else len(events) - 1 - last
+
+
+def test_isolated_seed_is_proved_by_two_signs():
+    # after the last Sturm count: the two signs that prove the bracket on
+    # est^2's path, and no sign per step; the 12-twist word (radius
+    # 768464.78) needs 41 steps at 1e-9, so 9 steps follow the 32 levels
+    # taken at once. Radius 1 makes no count.
+    expected = {"phi_H_d100_rank8": 2, "word_12_twists_rank6": 11,
+                "complex_pair": 2, "random_5x5": 2, "radius_one_word": None}
+    cases = _pinned_cases()
+    for name, count in expected.items():
+        rad, signs = _signs_after_isolation(cases[name], 1e-9)
+        assert (str(rad.lo), str(rad.hi), repr(rad.value)) == \
+            PINNED_BRACKETS[name]
+        assert signs == count, name
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_guess_one_grid_step_off_falls_back(monkeypatch, shift):
+    # the est^2 bracket moved one cell up (its low end has the sign of the
+    # high end) or down (its high end has lo_sign) fails its proof, and the
+    # step loop runs from the seed: the pinned bytes, one sign per step
+    real = spectral._dyadic_bracket
+    moved = []
+
+    def off_by_one(lo, hi, q, x, scale, width, cap=math.inf):
+        path = real(lo, hi, q, x, scale, width, cap)
+        if path and cap == 32:
+            j, lo_j, hi_j, q_j = path
+            moved.append(path)
+            step = shift * (hi_j - lo_j)
+            return j, lo_j + step, hi_j + step, q_j
+        return path
+
+    monkeypatch.setattr(spectral, "_dyadic_bracket", off_by_one)
+    cases = _pinned_cases()
+    for name in ("phi_H_d100_rank8", "word_12_twists_rank6", "complex_pair",
+                 "random_5x5"):
+        moved.clear()
+        rad, signs = _signs_after_isolation(cases[name], 1e-9)
+        assert (str(rad.lo), str(rad.hi), repr(rad.value)) == \
+            PINNED_BRACKETS[name]
+        assert len(moved) == 1 and signs > 20, name
+
+
+def _all_cyclotomic_matrices():
+    from mukai_entropy.isometries import (
+        compose, spherical_twist_action, twist_tensor_action)
+    from mukai_entropy.lattice import K3LatticeModel, mukai_pairing
+
+    def phi(rho, d):
+        gram = tuple(tuple((2 * d if i == 0 else -2) if i == j else 0
+                           for j in range(rho)) for i in range(rho))
+        return twist_tensor_action(K3LatticeModel(rho, gram)).matrix
+
+    rng = random.Random(31)
+    twists = []
+    for rho, d in ((1, 1), (3, 2), (6, 4)):
+        model = unimodular_k3_model(rng, rho, d)
+        s, t = (random_spherical(rng, model, 1) for _ in range(2))
+        twists.append(spherical_twist_action(model, s).matrix)
+        if abs(mukai_pairing(model, s, t)) <= 2:  # finite order or parabolic
+            twists.append(compose(spherical_twist_action(model, s),
+                                  spherical_twist_action(model, t)).matrix)
+    twists.append(_pinned_cases()["radius_one_word"])
+    cyclotomic = [
+        _companion(p) for p in (
+            [-1, 1], [1, 1], [1, 0, 1], [1, 1, 1, 1, 1],
+            poly_mul([-1, 1], [1, 1]), poly_mul([1, 1, 1], [1, -1, 1]),
+            poly_mul([1, 0, -1, 0, 1], [1, 0, 0, 0, 1]),
+            poly_mul([-1, 1], [-1, 1]), poly_mul([1, 1, 1, 1, 1],
+                                                [1, -1, 1, -1, 1]))]
+    return ([family_matrix(d) for d in range(1, 5)]
+            + [phi(rho, d) for rho, d in ((2, 2), (6, 1), (6, 4))]
+            + twists + cyclotomic)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-40, 1e-300])
+def test_all_cyclotomic_radius_matches_parent_bisection(tol):
+    # radius 1 by Kronecker's theorem: no pairwise chain, the parent's bytes
+    for mat in _all_cyclotomic_matrices():
+        assert _pairwise_calls(mat, tol) == []
+        new, oracle = _radius_and_oracle(mat, tol, True)
+        assert new == oracle
+
+
+def test_max_steps_errors_match_the_step_loop(monkeypatch):
+    # the path's depth counts as steps: the radius-1 exit and the proved
+    # bracket raise past max_steps exactly where the step loop alone does
+    def outcome(mat, max_steps):
+        try:
+            rad = spectral_radius(mat, 1e-9, max_steps)
+        except CertificationError as exc:
+            return str(exc)
+        return rad.lo, rad.hi, repr(rad.value)
+
+    cases = _pinned_cases()
+    mats = (family_matrix(1), family_matrix(5), cases["radius_one_word"],
+            cases["word_12_twists_rank6"], cases["phi_H_d100_rank8"])
+    new = [[outcome(m, s) for s in range(-1, 45)] for m in mats]
+    monkeypatch.setattr(spectral, "_dyadic_bracket", lambda *args: None)
+    assert new == [[outcome(m, s) for s in range(-1, 45)] for m in mats]
+    assert new[0][0] == "radius certification exceeded -1 refinement steps"
